@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.cluster.node import Node
 from repro.cluster.objects import KubeObject, Service, StatefulSet
@@ -92,6 +92,9 @@ class KubeApiServer:
         # (creation_time, name) is immutable per object, so the order can
         # only change when membership does — create/delete drop the entry.
         self._sorted_cache: Dict[str, List[KubeObject]] = {}
+        #: :meth:`ready_nodes` at the Node version head it was folded at
+        #: (a node's ready/deleted flags only change with a Node write).
+        self._ready_nodes: Tuple[int, List[Node]] = (-1, [])
         # Watchers are stored as (position, handler) so deliveries can be
         # merged with the node-keyed pod watchers below in exact
         # registration order (same-instant handler execution order is
@@ -157,10 +160,6 @@ class KubeApiServer:
         return self._store(kind).get(name)
 
     def list(self, kind: str, selector: Optional[Dict[str, str]] = None) -> List[KubeObject]:
-        if selector:
-            objs: Iterable[KubeObject] = self._store(kind).values()
-            objs = (o for o in objs if o.meta.matches(selector))
-            return sorted(objs, key=lambda o: (o.meta.creation_time, o.name))
         cached = self._sorted_cache.get(kind)
         if cached is None:
             cached = sorted(
@@ -168,6 +167,10 @@ class KubeApiServer:
                 key=lambda o: (o.meta.creation_time, o.name),
             )
             self._sorted_cache[kind] = cached
+        if selector:
+            # The sort key is unique per kind (names are), so filtering
+            # the sorted list gives the order sorting the matches would.
+            return [o for o in cached if o.meta.matches(selector)]
         return list(cached)  # callers may filter/mutate their copy
 
     def mark_modified(self, obj: KubeObject) -> None:
@@ -368,7 +371,12 @@ class KubeApiServer:
         return [n for n in self.list("Node") if isinstance(n, Node)]
 
     def ready_nodes(self) -> List[Node]:
-        return [n for n in self.nodes() if n.ready and not n.deleted]
+        version, ready = self._ready_nodes
+        head = self._versions["Node"]
+        if version != head:
+            ready = [n for n in self.nodes() if n.ready and not n.deleted]
+            self._ready_nodes = (head, ready)
+        return list(ready)
 
     def pending_pods(self) -> List[Pod]:
         return [p for p in self.pods() if p.phase is PodPhase.PENDING and p.node is None]

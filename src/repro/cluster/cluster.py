@@ -136,9 +136,6 @@ class Cluster:
     def node_count(self) -> int:
         return len(self.api.ready_nodes())
 
-    def spot_node_count(self) -> int:
-        return len([n for n in self.api.ready_nodes() if n.preemptible])
-
     def describe(self) -> dict:
         """Diagnostic snapshot used by experiment logs."""
         return {

@@ -598,23 +598,25 @@ def _make_accountant(
             value += shortage_extra()
         return value
 
+    def node_counts() -> tuple:
+        # Ready nodes, and their preemptible subset — CostModel.cost_of_mixed
+        # bills it at the spot rate (flat zero without a spot pool).
+        ready = stack.cluster.api.ready_nodes()
+        return len(ready), sum(1 for n in ready if n.preemptible)
+
+    def worker_counts() -> tuple:
+        stats = master.stats()
+        return stats.workers_connected, stats.workers_idle
+
     acc = ResourceAccountant(
         stack.engine,
         supply=master.supplied_cores,
         in_use=master.cores_in_use,
         shortage=shortage,
-        nodes=lambda: float(stack.cluster.node_count()),
         period=stack.config.accounting_period_s,
     )
-    acc.sampler.add_gauge(
-        "workers_connected", lambda: float(master.stats().workers_connected)
-    )
-    acc.sampler.add_gauge("workers_idle", lambda: float(master.stats().workers_idle))
-    # Preemptible subset of the node count — CostModel.cost_of_mixed
-    # bills it at the spot rate (flat zero without a spot pool).
-    acc.sampler.add_gauge(
-        "nodes_spot", lambda: float(stack.cluster.spot_node_count())
-    )
+    acc.sampler.add_probe(("nodes", "nodes_spot"), node_counts)
+    acc.sampler.add_probe(("workers_connected", "workers_idle"), worker_counts)
     if extra_gauges:
         for gname, fn in extra_gauges.items():
             acc.sampler.add_gauge(gname, fn)

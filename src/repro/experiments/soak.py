@@ -44,14 +44,9 @@ def main(
 ) -> str:
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    config = SoakConfig(
-        migrate=migrate,
-        integrity=integrity,
-        shards=4 if shard_crash else 1,
-        shard_crash=shard_crash,
+    config = SoakConfig.from_flags(
+        smoke=smoke, migrate=migrate, integrity=integrity, shard_crash=shard_crash
     )
-    if smoke:
-        config = config.smoke()
     seeds = list(range(seed, seed + runs))
     reports = run_soak_batch(seeds, config)
     out = "\n".join(report.describe() for report in reports)
@@ -61,9 +56,7 @@ def main(
         raise SystemExit(
             f"soak failed: seed {failing.seed} violated "
             f"{len(failing.violations)} invariant(s); reproduce with "
-            f"`python -m repro.experiments soak --seed {failing.seed}"
-            f"{' --smoke' if smoke else ''}"
-            f"{' --shard-crash' if shard_crash else ''}`"
+            f"`{config.command(failing.seed)}`"
         )
     return out
 

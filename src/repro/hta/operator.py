@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.forecast.models import default_forecasters
@@ -129,6 +129,10 @@ class HtaOperator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.estimator = ResourceEstimator(provisioner.worker_request, config.estimator)
         self._held: Dict[str, List[Task]] = {}
+        #: Bumped on every ``_held`` mutation; :meth:`held_cores` refolds
+        #: only when it moved.
+        self._held_rev = 0
+        self._held_cores_cache: Tuple[int, float] = (-1, 0.0)
         self._probes_in_flight: Dict[str, int] = {}
         self._callbacks: List[Callable[[Task, TaskResult], None]] = []
         self._no_more_jobs = False
@@ -161,6 +165,7 @@ class HtaOperator:
             self._recent_arrivals.append(task)
         if self._should_hold(task):
             self._held.setdefault(task.category, []).append(task)
+            self._held_rev += 1
             return
         self._forward(task)
 
@@ -196,6 +201,7 @@ class HtaOperator:
     def _master_completed(self, task: Task, result: TaskResult) -> None:
         # Probe done → its category now has an estimate; flush held tasks.
         if self._probes_in_flight.pop(task.category, None) is not None:
+            self._held_rev += 1
             for held in self._held.pop(task.category, []):
                 self.master.submit(held)
         for fn in list(self._callbacks):
@@ -260,7 +266,11 @@ class HtaOperator:
     def held_cores(self) -> float:
         """Footprint cores of warm-up-held tasks; part of the true
         resource shortage (held jobs are ready, just gated by HTA)."""
-        return sum(t.footprint.cores for v in self._held.values() for t in v)
+        rev, value = self._held_cores_cache
+        if rev != self._held_rev:
+            value = sum(t.footprint.cores for v in self._held.values() for t in v)
+            self._held_cores_cache = (self._held_rev, value)
+        return value
 
     def _maybe_clean_up(self) -> None:
         if (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType
 from repro.cluster.images import ContainerImage
@@ -134,6 +134,8 @@ class WorkerProvisioner:
         #: set, each batch is split per the policy and pods carry a
         #: preemptible node selector so the scheduler pins the pools.
         self.spot_policy = spot_policy
+        #: :meth:`my_pods` at the Pod version head it was listed at.
+        self._my_pods: Tuple[int, List[Pod]] = (-1, [])
         self._seq = itertools.count(1)
         self.pods_created = 0
         self.spot_pods_created = 0
@@ -308,20 +310,31 @@ class WorkerProvisioner:
         return drained
 
     def drain_all(self) -> List[Worker]:
-        """Clean-up stage: drain every live worker."""
+        """Clean-up stage: drain every live worker, and delete the
+        Running pods no worker has started in yet (the runtime missed
+        their start, e.g. in an API outage): one started after clean-up
+        would never be drained."""
         workers = list(self.runtime.live_workers())
         for worker in workers:
             worker.drain()
             self.drains_requested += 1
+        for pod in self.running_pods():
+            if self.runtime.worker_for(pod) is None:
+                self.api.try_delete("Pod", pod.name)
         return workers
 
     # ------------------------------------------------------------- tracking
     def my_pods(self) -> List[Pod]:
-        return [
-            p
-            for p in self.api.pods({"app": self.app_label})
-            if p.name.startswith(self.name_prefix)
-        ]
+        version, pods = self._my_pods
+        head = self.api.kind_version("Pod")
+        if version != head:
+            pods = [
+                p
+                for p in self.api.pods({"app": self.app_label})
+                if p.name.startswith(self.name_prefix)
+            ]
+            self._my_pods = (head, pods)
+        return list(pods)
 
     def live_pods(self) -> List[Pod]:
         return [p for p in self.my_pods() if not p.phase.terminal]

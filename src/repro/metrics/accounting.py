@@ -73,11 +73,16 @@ class ResourceAccountant:
         self._shortage = shortage
         self._nodes = nodes
         self.sampler = Sampler(engine, period)
-        self.sampler.add_gauge("supply", supply)
-        self.sampler.add_gauge("in_use", in_use)
-        self.sampler.add_gauge("shortage", shortage)
-        self.sampler.add_gauge("waste", lambda: max(0.0, supply() - in_use()))
-        self.sampler.add_gauge("demand", lambda: in_use() + shortage())
+
+        def resources() -> tuple:
+            # One read of each base gauge per sample; waste and demand
+            # are derived from the same values.
+            rs, riu, rsh = supply(), in_use(), shortage()
+            return rs, riu, rsh, max(0.0, rs - riu), riu + rsh
+
+        self.sampler.add_probe(
+            ("supply", "in_use", "shortage", "waste", "demand"), resources
+        )
         if nodes is not None:
             self.sampler.add_gauge("nodes", nodes)
         self.start_time: Optional[float] = None

@@ -169,19 +169,34 @@ class Sampler:
 
     Used for figure-style series (resource supply/demand every second)
     where the plotted quantity is derived from several components and is
-    cheaper to poll than to event out of each of them.
+    cheaper to poll than to event out of each of them. Each sample calls
+    every registered callable exactly once, in registration order.
     """
 
     def __init__(self, engine: Engine, period: float = 1.0):
         self.engine = engine
         self.period = period
-        self._gauges: Dict[str, Callable[[], float]] = {}
+        #: Series name -> the callable that produces it (a probe shared
+        #: by several series is listed under each of them).
+        self._gauges: Dict[str, Callable[[], object]] = {}
+        self._probes: List[Tuple[Tuple[StepSeries, ...], Callable[[], Sequence[float]]]] = []
         self.series: Dict[str, StepSeries] = {}
         self._task: Optional[PeriodicTask] = None
 
     def add_gauge(self, name: str, fn: Callable[[], float]) -> None:
+        """Record ``fn()`` into series ``name`` at every sample."""
+        self.add_probe((name,), lambda: (fn(),))
         self._gauges[name] = fn
-        self.series[name] = StepSeries(name)
+
+    def add_probe(self, names: Sequence[str], fn: Callable[[], Sequence[float]]) -> None:
+        """Record ``fn()``, one value per name, into the named series at
+        every sample: gauges derived from the same reads (waste and
+        demand from supply, in-use and shortage) share one evaluation."""
+        series = tuple(StepSeries(name) for name in names)
+        for s in series:
+            self.series[s.name] = s
+            self._gauges[s.name] = fn
+        self._probes.append((series, fn))
 
     def start(self) -> None:
         if self._task is None:
@@ -197,9 +212,11 @@ class Sampler:
 
     def _sample(self) -> None:
         now = self.engine.now
-        for name, fn in self._gauges.items():
-            series = self.series[name]
-            # allow same-instant resample (record() handles equal times)
-            if series.last_time is not None and series.last_time > now:
+        for series, fn in self._probes:
+            # allow same-instant resample (record() handles equal times);
+            # a probe's series are always recorded together
+            last = series[0].last_time
+            if last is not None and last > now:
                 continue
-            series.record(now, float(fn()))
+            for s, value in zip(series, fn()):
+                s.record(now, float(value))

@@ -124,6 +124,43 @@ class SoakConfig:
             shard_crash=self.shard_crash,
         )
 
+    @classmethod
+    def from_flags(
+        cls,
+        *,
+        smoke: bool = False,
+        migrate: bool = False,
+        integrity: bool = False,
+        shard_crash: bool = False,
+    ) -> "SoakConfig":
+        """The config the ``soak`` CLI builds from its flags."""
+        config = cls(
+            migrate=migrate,
+            integrity=integrity,
+            shards=4 if shard_crash else 1,
+            shard_crash=shard_crash,
+        )
+        return config.smoke() if smoke else config
+
+    def command(self, seed: int) -> str:
+        """The command that replays ``run_soak(seed, self)``: the soak
+        CLI with the flags that rebuild this config, or the library call
+        for a config no flag combination reaches."""
+        flags = {
+            "migrate": self.migrate,
+            "integrity": self.integrity,
+            "shard_crash": self.shard_crash,
+        }
+        for smoke in (False, True):
+            if self == SoakConfig.from_flags(smoke=smoke, **flags):
+                cli = "".join(
+                    f" --{name.replace('_', '-')}"
+                    for name, on in {"smoke": smoke, **flags}.items()
+                    if on
+                )
+                return f"python -m repro.experiments soak --seed {seed}{cli}"
+        return f"run_soak({seed}, {self!r})"
+
 
 @dataclass
 class SoakReport:
@@ -138,6 +175,8 @@ class SoakReport:
     #: the end of the run — the fixed-seed bit-fidelity oracle the perf
     #: subsystem checks optimizations against.
     journal_digest: str = ""
+    #: The config the run used (for the reproduction command).
+    config: SoakConfig = field(default_factory=SoakConfig)
 
     @property
     def ok(self) -> bool:
@@ -157,9 +196,7 @@ class SoakReport:
         for violation in self.violations:
             lines.append(f"  VIOLATION {violation}")
         if not self.ok:
-            lines.append(
-                f"  reproduce with: python -m repro.experiments soak --seed {self.seed}"
-            )
+            lines.append(f"  reproduce with: {self.config.command(self.seed)}")
         return "\n".join(lines)
 
 
@@ -461,6 +498,7 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
         quiesced=quiesced,
         stats=stats,
         journal_digest=journal_digest,
+        config=config,
     )
 
 

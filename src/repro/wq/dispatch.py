@@ -210,6 +210,13 @@ class DispatchCore:
         self._n_idle = 0
         self._n_busy = 0
         self._n_draining = 0
+        #: Bumped whenever the worker table, a worker's flags or runs, or
+        #: the state of a task on a worker changes; the load gauges
+        #: (:meth:`cores_in_use`, :meth:`supplied_cores`) refold only
+        #: when it moved, in ``workers`` order (bit-identical floats).
+        self._workers_rev = 0
+        self._in_use_cache: Tuple[int, float] = (-1, 0.0)
+        self._supplied_cache: Tuple[int, float] = (-1, 0.0)
         #: Ids of tasks currently in ``queue`` — O(1) membership for the
         #: completion/reconnect paths that used to scan the whole list.
         self._queued_ids: Set[int] = set()
@@ -339,6 +346,9 @@ class DispatchCore:
         #: Tasks adopted from a dead shard by the failover coordinator
         #: (queued and unclaimed both count; zero on unsharded masters).
         self.tasks_rehomed_in = 0
+        #: Ids of tasks moved to another shard (and not moved back): the
+        #: new owner runs them, so a result delivered here is stale.
+        self._handed_over: Set[int] = set()
         #: Called on every checkpoint delivery with
         #: ``(worker, task, accepted, ship_s)`` — the migration
         #: coordinator paces its fluid policies off this.
@@ -427,6 +437,7 @@ class DispatchCore:
         is retired, the new one recomputed from the worker itself, and a
         worker no longer registered under its name contributes nothing."""
         name = worker.name
+        self._workers_rev += 1
         old = self._worker_flags.pop(name, None)
         if old is not None:
             was_accepting, was_idle, was_busy, was_draining = old
@@ -457,6 +468,7 @@ class DispatchCore:
             self._n_draining += 1
 
     def _reset_worker_caches(self) -> None:
+        self._workers_rev += 1
         self._accepting.clear()
         self._worker_flags.clear()
         self._n_idle = 0
@@ -540,6 +552,7 @@ class DispatchCore:
         the record exists so that a post-failover restart replays to a
         state without the task (see journal replay's OUT/IN pairing)."""
         self.journal.record_failover_out(self.engine.now, task)
+        self._handed_over.add(task.id)
 
     def failover_in(
         self, task: Task, *, placement: str = "ready"
@@ -560,6 +573,7 @@ class DispatchCore:
         self.journal.record_failover_in(
             self.engine.now, task, placement=placement, progress=progress
         )
+        self._handed_over.discard(task.id)
         self.tasks_rehomed_in += 1
         if placement == "unclaimed":
             self._unclaimed[task.id] = task
@@ -1346,6 +1360,11 @@ class DispatchCore:
                 self._enqueue_front(task)
                 self._schedule_dispatch()
             return
+        if task.id in self._handed_over:
+            # A held result of an attempt from before this shard gave
+            # the task away; the new owner's attempt stands.
+            self.duplicate_results += 1
+            return
         if task.speculation_of is not None:
             self._finalize_speculative_win(worker, task)
             return
@@ -1561,8 +1580,13 @@ class DispatchCore:
         )
 
     def cores_in_use(self) -> float:
-        """RIU in cores: footprint cores of currently executing tasks."""
-        return sum(w.cores_in_use() for w in self.workers.values())
+        """RIU in cores: footprint cores of currently executing tasks
+        (memoized on :attr:`_workers_rev`)."""
+        rev, value = self._in_use_cache
+        if rev != self._workers_rev:
+            value = sum(w.cores_in_use() for w in self.workers.values())
+            self._in_use_cache = (self._workers_rev, value)
+        return value
 
     def cores_waiting(self) -> float:
         """RSH ingredient: cores desired by queued tasks (true footprints;
@@ -1590,10 +1614,14 @@ class DispatchCore:
         """RS in cores: capacity of connected, accepting workers.
         Quarantined workers are excluded — their capacity is untrusted,
         and counting it would let HTA's estimator see supply the
-        dispatcher refuses to use."""
-        return sum(
-            w.capacity.cores
-            for w in self.workers.values()
-            if w.state in (WorkerState.READY, WorkerState.DRAINING)
-            and not w.quarantined
-        )
+        dispatcher refuses to use. Memoized on :attr:`_workers_rev`."""
+        rev, value = self._supplied_cache
+        if rev != self._workers_rev:
+            value = sum(
+                w.capacity.cores
+                for w in self.workers.values()
+                if w.state in (WorkerState.READY, WorkerState.DRAINING)
+                and not w.quarantined
+            )
+            self._supplied_cache = (self._workers_rev, value)
+        return value

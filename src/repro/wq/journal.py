@@ -104,6 +104,9 @@ class ReplayedState:
     #: Workers quarantined (and not since unquarantined) at crash time,
     #: in quarantine order — the recovered master keeps distrusting them.
     quarantined: List[str] = field(default_factory=list)
+    #: Tasks this log handed to another shard (FAILOVER_OUT) and has not
+    #: taken back since: a result delivered here for one is stale.
+    handed_over: Set[int] = field(default_factory=set)
 
 
 class TransactionJournal:
@@ -293,14 +296,16 @@ class TransactionJournal:
                     state.submitted += 1
                     state.ready.append(rec.task)
             return state
-        # Failover records may interleave across shards in a merged log:
-        # the destination's FAILOVER_IN can fold before the dead shard's
-        # FAILOVER_OUT when both carry the same timestamp and the
-        # destination's shard index sorts first. Counting OUT/IN pairs
-        # per task makes the fold commute — an OUT only removes the task
-        # when it has not already been superseded by a matching IN.
-        failed_out: Dict[int, int] = {}
-        failed_in: Dict[int, int] = {}
+        # A move writes FAILOVER_OUT on its source and FAILOVER_IN on its
+        # destination at the same instant, and in a merged log the IN
+        # folds first when the destination's shard index sorts first.
+        # Per task, ``moves`` keeps (instant, OUTs minus INs folded at
+        # it): an OUT that finds an IN of its own instant waiting is
+        # that IN's source and leaves the placed task alone; any other
+        # OUT removes the task. An IN from an earlier instant is an
+        # arrival, not a match — a shard's own log can hold a task's
+        # arrival and, later, its departure.
+        moves: Dict[int, Tuple[float, int]] = {}
         for rec in self.records:
             task = rec.task
             if rec.op == "submit":
@@ -345,18 +350,18 @@ class TransactionJournal:
                 state.attempts[task.id] = rec.attempt
                 state.progress[task.id] = rec.progress
             elif rec.op == "failover_out":
-                outs = failed_out.get(task.id, 0) + 1
-                failed_out[task.id] = outs
-                if outs > failed_in.get(task.id, 0):
-                    # Not (yet) re-adopted elsewhere in this log: the
-                    # task left this shard's recoverable state. On the
-                    # dead shard's own journal there is never a matching
-                    # IN, so replay after a post-failover restart drops
-                    # the re-homed entry instead of double-dispatching.
+                balance = self._move_balance(moves, rec)
+                if balance >= 0:
+                    # The task left this log's recoverable state, so a
+                    # post-failover restart of the dead shard drops the
+                    # re-homed entry instead of double-dispatching.
                     state.unclaimed.pop(task.id, None)
                     self._remove(state.ready, task)
+                    state.handed_over.add(task.id)
+                moves[task.id] = (rec.time, balance + 1)
             elif rec.op == "failover_in":
-                failed_in[task.id] = failed_in.get(task.id, 0) + 1
+                moves[task.id] = (rec.time, self._move_balance(moves, rec) - 1)
+                state.handed_over.discard(task.id)
                 state.unclaimed.pop(task.id, None)
                 self._remove(state.ready, task)
                 if rec.placement == "unclaimed":
@@ -379,6 +384,12 @@ class TransactionJournal:
                 if rec.worker in state.quarantined:
                     state.quarantined.remove(rec.worker)
         return state
+
+    @staticmethod
+    def _move_balance(moves: Dict[int, Tuple[float, int]], rec: JournalRecord) -> int:
+        """OUTs minus INs of ``rec``'s task folded at ``rec``'s instant."""
+        at, balance = moves.get(rec.task.id, (rec.time, 0))
+        return balance if at == rec.time else 0
 
     @staticmethod
     def _remove(ready: List[Task], task: Task) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import chain
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.engine import Engine
 from repro.telemetry.events import Tracer
@@ -132,8 +132,27 @@ class Master(DispatchCore):
             tracer=tracer,
             metrics=metrics,
         )
+        #: Every worker that ever registered here, by name. Unlike
+        #: ``workers`` it survives a crash, so :meth:`bound_workers` can
+        #: still name the workers polling this master to reconnect.
+        self._registered: Dict[str, Worker] = {}
 
     # -------------------------------------------------------------- workers
+    def bound_workers(self) -> List[Worker]:
+        """The live workers whose master this is: the registered ones,
+        then those detached from it (a crash or a partition they have
+        not reconnected from yet) — the workers stranded if this master
+        is lost for good."""
+        bound = list(self.workers.values())
+        bound.extend(
+            w
+            for name, w in self._registered.items()
+            if name not in self.workers
+            and w.master is self
+            and w.state in (WorkerState.READY, WorkerState.DRAINING)
+        )
+        return bound
+
     def register_worker(self, worker: Worker) -> None:
         if self.health is not None:
             # A brand-new pod registering under a recycled name is a
@@ -141,6 +160,7 @@ class Master(DispatchCore):
             # the old pod and must not taint it.
             self.health.forget_worker(worker.name)
         self.workers[worker.name] = worker
+        self._registered[worker.name] = worker
         self._refresh_worker_cache(worker)
         self._schedule_dispatch()
 
@@ -157,6 +177,11 @@ class Master(DispatchCore):
         flipped (a run started or ended, a drain began, the connection
         dropped). Refreshes the dispatch index and stat counters."""
         self._refresh_worker_cache(worker)
+
+    def worker_load_changed(self) -> None:
+        """Worker-side hook: a task on a worker changed state, so the
+        load gauge (:meth:`cores_in_use`) must refold."""
+        self._workers_rev += 1
 
     # ----------------------------------------------------- partition liveness
     def worker_unreachable(self, worker: Worker) -> None:
@@ -312,6 +337,7 @@ class Master(DispatchCore):
             self._reset_queue(list(state.ready))
             self._unclaimed = dict(state.unclaimed)
             self._delivered = set(state.delivered)
+            self._handed_over = set(state.handed_over)
             self.abandoned = list(state.abandoned)
             for task in chain(self._unclaimed.values(), self.queue):
                 if task.id in state.attempts:
@@ -330,8 +356,10 @@ class Master(DispatchCore):
             # (if) each one reconnects.
             self._recovered_quarantined = set(state.quarantined)
         else:
-            # Cold restart: the quarantine ledger died with the PV.
+            # Cold restart: the quarantine and hand-over ledgers died
+            # with the PV.
             self._recovered_quarantined = set()
+            self._handed_over = set()
             ready: List[Task] = []
             for task in state.ready:
                 if task.result is not None:
@@ -409,6 +437,7 @@ class Master(DispatchCore):
         if worker.state not in (WorkerState.READY, WorkerState.DRAINING):
             return
         self.workers[worker.name] = worker
+        self._registered[worker.name] = worker
         self._refresh_worker_cache(worker)
         self._unreachable.pop(worker.name, None)
         if worker.name in self._recovered_quarantined:

@@ -243,10 +243,12 @@ class Foreman:
             return False
         src._dequeue(task)
         src.journal.record_failover_out(self.engine.now, task)
+        src._handed_over.add(task.id)
         progress = task.progress_s if task.progress_s > 0 else None
         dst.journal.record_failover_in(
             self.engine.now, task, placement="ready", progress=progress
         )
+        dst._handed_over.discard(task.id)
         dst._enqueue_front(task)
         dst._schedule_dispatch()
         self.transfers += 1
@@ -343,7 +345,7 @@ class Foreman:
         shard = self.shards[i]
         if shard.crashed:
             return
-        stranded = list(shard.workers.values())
+        stranded = shard.bound_workers()
         shard.crash()
         for fn in self._shard_crash_listeners:
             fn(i, stranded)
@@ -738,8 +740,9 @@ class FailoverCoordinator:
     """Re-homes a dead shard's stranded work onto the survivors.
 
     Subscribes to the foreman's shard-crash/recover notifications. On a
-    crash it arms a one-shot grace timer; if the shard is still down
-    when the timer fires, the coordinator
+    crash it arms a grace timer; if the shard is still down when the
+    timer fires (and another shard is up — otherwise the timer re-arms),
+    the coordinator
 
     1. replays the dead shard's journal (its PV outlives the process)
        to reconstruct exactly what is recoverable: the queued tasks in
@@ -785,7 +788,8 @@ class FailoverCoordinator:
         self.tasks_rehomed = 0
         #: Stranded workers re-pointed at survivor shards.
         self.workers_reattached = 0
-        #: Grace expiries that found no survivor to re-home onto.
+        #: Grace expiries that found no survivor to re-home onto (each
+        #: re-arms the timer for another grace period).
         self.failovers_aborted = 0
         #: Queued tasks moved off starved shards by the rebalance tick.
         self.tasks_rebalanced = 0
@@ -903,9 +907,16 @@ class FailoverCoordinator:
             if j != i and s.available
         ]
         if not survivors:
-            # Nowhere to re-home; the shard stays crashed and a later
-            # crash/recover cycle gets another chance.
+            # Nowhere to re-home right now: every other shard is down too
+            # (a whole-plane master crash inside this shard's grace). The
+            # survivors come back through their own journal replay, which
+            # tells the coordinator nothing, so re-arm the same timer —
+            # a shard that recovers meanwhile still voids it via the token.
             self.failovers_aborted += 1
+            if not self._stopped:
+                self.engine.call_in(
+                    self.config.grace_s, self._grace_expired, i, token
+                )
             return
         state = shard.journal.replay()
         stranded = self._stranded.pop(i, [])

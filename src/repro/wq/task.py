@@ -19,9 +19,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.wq.worker import Worker
 
 _task_ids = itertools.count(1)
 
@@ -89,10 +92,10 @@ class Task:
     __slots__ = (
         "id", "category", "command", "tag", "priority", "execute_s",
         "cpu_fraction", "footprint", "declared", "inputs", "outputs",
-        "state", "attempts", "submit_time", "dispatch_time", "start_time",
-        "finish_time", "allocation", "min_allocation", "speculation_of",
-        "result", "checkpoint", "progress_s", "payload_corrupt",
-        "checkpoint_corrupt",
+        "_state", "_holders", "attempts", "submit_time", "dispatch_time",
+        "start_time", "finish_time", "allocation", "min_allocation",
+        "speculation_of", "result", "checkpoint", "progress_s",
+        "payload_corrupt", "checkpoint_corrupt",
     )
 
     def __init__(
@@ -135,7 +138,12 @@ class Task:
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
 
-        self.state = TaskState.WAITING
+        #: Workers whose ``runs`` hold this task (usually none or one;
+        #: two while a partitioned worker still runs a requeued copy).
+        #: Each is told when :attr:`state` changes, which keeps their
+        #: memoized ``cores_in_use`` exact.
+        self._holders: Tuple["Worker", ...] = ()
+        self._state = TaskState.WAITING
         self.attempts = 0
         self.submit_time: Optional[float] = None
         self.dispatch_time: Optional[float] = None
@@ -165,6 +173,19 @@ class Task:
         #: Ground truth for the checkpoint currently in flight: the
         #: shipped snapshot is corrupted and must not be resumed from.
         self.checkpoint_corrupt = False
+
+    @property
+    def state(self) -> TaskState:
+        return self._state
+
+    @state.setter
+    def state(self, value: TaskState) -> None:
+        # The master writes the state of tasks still on a worker too
+        # (speculative wins, duplicate suppression, evacuation), so the
+        # holders are notified here rather than at each write site.
+        self._state = value
+        for worker in self._holders:
+            worker.task_state_changed()
 
     # ---------------------------------------------------------------- sizes
     def input_bytes_mb(self, cached: bool = False) -> float:

@@ -18,7 +18,7 @@ Scale-down paths (the crux of §II-C):
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Engine, ScheduledEvent
@@ -112,6 +112,10 @@ class Worker:
         #: cached floats are bit-identical to the on-demand values.
         self._allocated = ResourceVector.zero()
         self._available = (capacity - self._allocated).clamp_floor(0.0)
+        #: Bumped when the runs set or a held task's state changes;
+        #: :meth:`cores_in_use` refolds only when it moved.
+        self._in_use_rev = 0
+        self._in_use_cache: Tuple[int, float] = (-1, 0.0)
         self.tasks_completed = 0
         self.tasks_failed = 0
         #: True while the master connection is down (its pod crashed);
@@ -262,6 +266,7 @@ class Worker:
             if run.exec_event is not None:
                 run.exec_event.cancel()
             run.task.state = TaskState.FAILED
+            self._release(run.task)
             lost.append(run.task)
         self.runs.clear()
         self._runs_changed()
@@ -297,6 +302,24 @@ class Worker:
             self.on_exit(self)
 
     # ------------------------------------------------------------- capacity
+    # Every runs mutation goes through these helpers so each task knows
+    # which workers hold it (see ``Task.state``).
+    def _add_run(self, run: _TaskRun) -> None:
+        self.runs[run.task.id] = run
+        run.task._holders += (self,)
+        self._runs_changed()
+
+    def _drop_run(self, task: Task) -> Optional[_TaskRun]:
+        """Take ``task``'s run off this worker (None if it is not here)."""
+        run = self.runs.pop(task.id, None)
+        if run is not None:
+            self._release(run.task)
+            self._runs_changed()
+        return run
+
+    def _release(self, task: Task) -> None:
+        task._holders = tuple(w for w in task._holders if w is not self)
+
     def _runs_changed(self) -> None:
         """The runs set mutated: refold the allocation cache and tell the
         master its dispatch-side caches for this worker are stale."""
@@ -305,7 +328,13 @@ class Worker:
             total = total + run.allocation
         self._allocated = total
         self._available = (self.capacity - total).clamp_floor(0.0)
+        self._in_use_rev += 1
         self.master.worker_status_changed(self)
+
+    def task_state_changed(self) -> None:
+        """A task in :attr:`runs` changed state (see ``Task.state``)."""
+        self._in_use_rev += 1
+        self.master.worker_load_changed()
 
     def allocated(self) -> ResourceVector:
         return self._allocated
@@ -341,8 +370,7 @@ class Worker:
                 f"(available {self.available()})"
             )
         run = _TaskRun(task, allocation)
-        self.runs[task.id] = run
-        self._runs_changed()
+        self._add_run(run)
         task.allocation = allocation
         task.dispatch_time = self.engine.now
         task.state = TaskState.FETCHING
@@ -465,8 +493,7 @@ class Worker:
             return
         task = run.task
         run.exec_event = None
-        del self.runs[task.id]
-        self._runs_changed()
+        self._drop_run(task)
         task.state = TaskState.FAILED
         self.tasks_failed += 1
         if self._detached:
@@ -551,8 +578,7 @@ class Worker:
         task = run.task
         if task.id not in self.runs:
             return
-        del self.runs[task.id]
-        self._runs_changed()
+        self._drop_run(task)
         if self._detached:
             # No master to deliver to; hold the checkpoint like a held
             # result and re-deliver on reconnect. The master's
@@ -569,10 +595,9 @@ class Worker:
         master cancels the losing copy of a speculative pair this way).
         Returns False if the task is not on this worker. The master is
         *not* notified — the caller owns the bookkeeping."""
-        run = self.runs.pop(task.id, None)
+        run = self._drop_run(task)
         if run is None:
             return False
-        self._runs_changed()
         if run.exec_event is not None:
             run.exec_event.cancel()
             run.exec_event = None
@@ -597,8 +622,7 @@ class Worker:
         if run.task.id not in self.runs:
             return
         task = run.task
-        del self.runs[task.id]
-        self._runs_changed()
+        self._drop_run(task)
         self.tasks_completed += 1
         if self._detached:
             # No master to report to; hold the outputs until reconnect.
@@ -615,12 +639,18 @@ class Worker:
 
     def cores_in_use(self) -> float:
         """Cores consumed by *executing* tasks (footprint, not allocation);
-        the RIU ingredient for the evaluation accounting."""
-        return sum(
-            min(run.task.footprint.cores, run.allocation.cores)
-            for run in self.runs.values()
-            if run.task.state is TaskState.RUNNING
-        )
+        the RIU ingredient for the evaluation accounting. Memoized on
+        :attr:`_in_use_rev`; the refold keeps the runs order, so the
+        cached float is bit-identical to an on-demand fold."""
+        rev, value = self._in_use_cache
+        if rev != self._in_use_rev:
+            value = sum(
+                min(run.task.footprint.cores, run.allocation.cores)
+                for run in self.runs.values()
+                if run.task.state is TaskState.RUNNING
+            )
+            self._in_use_cache = (self._in_use_rev, value)
+        return value
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Worker {self.name!r} {self.state.value} tasks={len(self.runs)}>"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.api import (
     ConflictError,
@@ -16,6 +18,7 @@ from repro.cluster.node import Node
 from repro.cluster.objects import Service
 from repro.cluster.pod import Pod, PodPhase, PodSpec
 from repro.cluster.resources import ResourceVector
+from repro.sim.engine import Engine
 
 
 @pytest.fixture
@@ -79,6 +82,40 @@ class TestCrud:
         api.create(make_pod("a", labels={"app": "x"}))
         api.create(make_pod("b", labels={"app": "y"}))
         assert [p.name for p in api.pods({"app": "x"})] == ["a"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.integers(0, 3),  # clock advance before the op (0: same instant)
+                st.sampled_from("abcdefgh"),  # name
+                st.sampled_from(["x", "y", None]),  # app label
+                st.sampled_from(["1", "2"]),  # tier label
+                st.booleans(),  # delete instead of create
+            ),
+            max_size=40,
+        )
+    )
+    def test_selector_list_equals_sorted_filter(self, ops):
+        """The selector path filters the memoized sorted list; on any
+        store (same-instant creations, deletes, re-creates) that must
+        equal sorting the matching objects afresh."""
+        engine = Engine()
+        api = KubeApiServer(engine)
+        selectors = [{"app": "x"}, {"app": "y"}, {"tier": "1"}, {"app": "x", "tier": "2"}]
+        for advance, name, app, tier, delete in ops:
+            engine.run(until=engine.now + advance)
+            if delete:
+                api.try_delete("Pod", name)
+            elif api.try_get("Pod", name) is None:
+                labels = {"tier": tier} if app is None else {"app": app, "tier": tier}
+                api.create(make_pod(name, labels=labels))
+            for selector in selectors:
+                expected = sorted(
+                    (p for p in api._stores["Pod"].values() if p.meta.matches(selector)),
+                    key=lambda p: (p.meta.creation_time, p.name),
+                )
+                assert api.list("Pod", selector) == expected
 
     def test_services_storable(self, api):
         svc = Service("master", {"app": "wq-master"}, service_type="LoadBalancer")

@@ -120,6 +120,27 @@ class TestProvisioner:
         engine.run(until=60.0)
         assert master.stats().workers_connected == 0
 
+    def test_drain_all_deletes_running_pods_without_a_worker(self, engine, stack):
+        """A pod that turned Running while the watch plane was down has
+        no worker yet. Clean-up deletes it: otherwise the runtime's
+        post-outage resync starts a worker nobody drains (a soak worker
+        leak)."""
+        cluster, master, runtime, provisioner, tracker = stack
+        (pod,) = provisioner.create_workers(1)
+        while pod.node is None:
+            engine.step()
+        cluster.api.begin_outage()  # bound; its Running event will be lost
+        engine.run(until=30.0)
+        assert pod.phase is PodPhase.RUNNING
+        assert runtime.worker_for(pod) is None
+        provisioner.drain_all()
+        cluster.api.end_outage()
+        runtime.resync()
+        engine.run(until=60.0)
+        assert provisioner.live_pods() == []
+        assert runtime.live_workers() == []
+        assert master.stats().workers_connected == 0
+
 
 class TestOperator:
     def make_operator(self, engine, stack, **cfg):

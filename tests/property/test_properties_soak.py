@@ -10,7 +10,7 @@ here property-tests crash recovery against the whole chaos vocabulary
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.soak import SoakConfig, generate_schedule, run_soak
@@ -84,6 +84,9 @@ def test_migrate_flag_leaves_other_draws_bit_identical(seed):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
+# A permanent shard crash, then a whole-plane master crash inside its
+# failover grace: the failover must wait for a survivor, not give up.
+@example(seed=5060)
 def test_every_invariant_holds_with_shard_crashes_enabled(seed):
     """Satellite (PR 10): for any seeded chaos schedule *including
     shard crashes* (the plane runs as 4 masters behind a foreman with a

@@ -6,6 +6,7 @@ import pytest
 
 from repro.soak import (
     SoakConfig,
+    SoakReport,
     first_violation,
     run_soak,
     run_soak_batch,
@@ -71,3 +72,34 @@ class TestFailureReporting:
         text = report.describe()
         assert "VIOLATION" in text
         assert "python -m repro.experiments soak --seed 3" in text
+
+    @pytest.mark.parametrize("smoke", [False, True])
+    @pytest.mark.parametrize("migrate", [False, True])
+    @pytest.mark.parametrize("integrity", [False, True])
+    @pytest.mark.parametrize("shard_crash", [False, True])
+    def test_command_flags_rebuild_the_config(
+        self, smoke, migrate, integrity, shard_crash
+    ):
+        config = SoakConfig.from_flags(
+            smoke=smoke, migrate=migrate, integrity=integrity, shard_crash=shard_crash
+        )
+        words = config.command(41).split()
+        assert words[:6] == ["python", "-m", "repro.experiments", "soak", "--seed", "41"]
+        flags = {w[2:].replace("-", "_") for w in words[6:]}
+        assert SoakConfig.from_flags(**{f: True for f in flags}) == config
+
+    def test_report_reproduces_the_flags_of_its_run(self):
+        """A sharded smoke run's failure must replay sharded and smoke,
+        not as a plain full-size soak."""
+        config = SoakConfig.from_flags(smoke=True, shard_crash=True)
+        report = SoakReport(
+            seed=5, events=[], violations=["synthetic"], quiesced=True, config=config
+        )
+        assert report.describe().endswith(
+            "reproduce with: python -m repro.experiments soak --seed 5"
+            " --smoke --shard-crash"
+        )
+
+    def test_config_no_flag_reaches_falls_back_to_the_library_call(self):
+        config = SoakConfig(n_tasks=7)
+        assert config.command(5) == f"run_soak(5, {config!r})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.soak.invariants import check_failover_protocol
+from repro.soak.invariants import check_failover_protocol, check_journal_replay
 from repro.wq.estimator import DeclaredResourceEstimator
 from repro.wq.link import Link
 from repro.wq.master import Master
@@ -26,7 +26,7 @@ from repro.wq.sharding import (
     merge_journals,
 )
 from repro.wq.task import Task, TaskState
-from repro.wq.worker import Worker
+from repro.wq.worker import Worker, WorkerState
 
 FOOT = ResourceVector(1, 512, 128)
 CAP = ResourceVector(4, 4096, 4096)
@@ -377,4 +377,124 @@ class TestFailoverEdges:
         done_ids = [t.id for t in foreman.done]
         assert len(done_ids) == len(set(done_ids)) == 7
         assert late.id in {t.id for t in b.done}
+        assert check_failover_protocol(foreman) == []
+
+    def test_whole_plane_crash_inside_the_grace_defers_failover(self, engine):
+        """A shard is lost for good, then the whole plane crashes before
+        its grace expires: at expiry no survivor is up, so the failover
+        waits another grace period instead of giving up. Once the other
+        shard is back from its own restart, the dead shard's queue is
+        re-homed and runs (soak seed 5060 stranded four tasks here)."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = make_coordinator(engine, foreman, grace_s=10.0)
+        Worker(engine, a, "wa", CAP, connect_latency=1.0)
+        tasks = [make_task(execute_s=2.0) for _ in range(5)]
+        for task in tasks:
+            b.submit(task)  # B has no workers: all stay queued
+        foreman.crash_shard(1)  # permanent
+        engine.run(until=5.0)
+        foreman.crash(restart_delay_s=8.0)  # A back at t=13
+        engine.run(until=11.0)  # B's grace expired with A still down
+        assert coordinator.failovers_aborted == 1
+        assert coordinator.failovers == 0
+        engine.run(until=21.0)  # the re-armed timer finds A up
+        assert coordinator.failovers == 1
+        assert coordinator.tasks_rehomed == 5
+        engine.run(until=200.0)
+        assert foreman.all_done
+        assert all(t.state is TaskState.DONE for t in tasks)
+        assert check_failover_protocol(foreman) == []
+
+    def test_recovery_during_the_deferral_voids_the_failover(self, engine):
+        """The re-armed timer keeps the crash token: a shard that comes
+        back on its own while the failover is deferred replays its own
+        journal and is never failed over."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = make_coordinator(engine, foreman, grace_s=10.0)
+        b.submit(make_task(execute_s=2.0))
+        foreman.crash_shard(1)
+        foreman.crash(restart_delay_s=30.0)
+        engine.run(until=11.0)
+        assert coordinator.failovers_aborted == 1
+        foreman.recover_shard(1)
+        engine.run(until=60.0)
+        assert coordinator.failovers == 0
+        assert coordinator.failovers_aborted == 1
+        assert len(b.queue) == 1
+
+    def test_transferred_task_failed_over_again_leaves_the_shards_replay(
+        self, engine
+    ):
+        """A task reaches shard B by a transfer (FAILOVER_IN) and runs
+        there; B then dies and is failed over (FAILOVER_OUT). That
+        earlier arrival is not the departure's matching IN, so B's own
+        replay drops the task: restarting B must not requeue work a
+        survivor now owns (soak seed 68601 re-ran a finished task)."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = make_coordinator(engine, foreman, grace_s=10.0)
+        Worker(engine, b, "wb", CAP, connect_latency=1.0)
+        task = make_task(execute_s=30.0)
+        a.submit(task)  # A has no workers: the task waits in A's queue
+        assert foreman.transfer_queued(task, b)
+        engine.run(until=5.0)
+        assert task.state is TaskState.RUNNING
+        foreman.crash_shard(1)
+        engine.run(until=16.0)
+        assert coordinator.failovers == 1
+        replayed = b.journal.replay()
+        assert task not in replayed.ready and task.id not in replayed.unclaimed
+        foreman.recover_shard(1)
+        assert task.id not in b._unclaimed
+        engine.run(until=200.0)
+        assert foreman.all_done
+        assert [t.id for t in foreman.done] == [task.id]
+        assert check_journal_replay(foreman) == []
+        assert check_failover_protocol(foreman) == []
+
+    def test_failover_reattaches_a_worker_still_reconnecting(self, engine):
+        """A shard dies for good right after a whole-plane restart,
+        before its worker's reconnect poll came round. The worker is not
+        registered at that moment but still polls the shard, so failover
+        must re-point it too; otherwise it polls a dead master forever
+        and never finishes a drain (a soak worker leak)."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        coordinator = make_coordinator(engine, foreman, grace_s=10.0)
+        wb = Worker(engine, b, "wb", CAP, connect_latency=1.0)
+        engine.run(until=2.0)
+        foreman.crash(restart_delay_s=1.0)  # wb's first poll is due at t=4
+        engine.run(until=3.5)
+        assert not b.crashed and "wb" not in b.workers
+        foreman.crash_shard(1)  # permanent
+        engine.run(until=20.0)
+        assert coordinator.failovers == 1
+        assert coordinator.workers_reattached == 1
+        assert wb.master is a and a.workers.get("wb") is wb
+        wb.drain()
+        engine.run(until=30.0)
+        assert wb.state is WorkerState.STOPPED
+
+    def test_stale_result_at_the_shard_that_handed_the_task_over(self, engine):
+        """A partitioned worker's run is requeued by the liveness expiry,
+        and the queued task is transferred to another shard. When the
+        worker heals, its held result reaches the old shard, which must
+        drop it: the new owner's attempt is the one that counts, and
+        both journals then fold to one clean completion (soak seed 29118
+        re-ran the task and left a dispatch unresolved)."""
+        foreman, (a, b) = make_foreman(engine, 2)
+        wa = Worker(engine, a, "wa", CAP, connect_latency=1.0)
+        task = make_task(execute_s=60.0)  # wb's copy still runs at wa's heal
+        a.submit(task)
+        engine.run(until=5.0)
+        wa.partition()
+        a.worker_unreachable(wa)
+        engine.run(until=5.0 + a.liveness_timeout_s + 1.0)
+        assert a.queue == [task]  # requeued; wa holds its finished result
+        Worker(engine, b, "wb", CAP, connect_latency=1.0)
+        assert foreman.transfer_queued(task, b)
+        wa.heal()
+        engine.run(until=400.0)
+        assert a.duplicate_results == 1
+        assert [t.id for t in foreman.done] == [task.id]
+        assert [t.id for t in b.done] == [task.id]
+        assert check_journal_replay(foreman) == []
         assert check_failover_protocol(foreman) == []
