@@ -10,12 +10,13 @@ and — when a committed baseline exists — enforces the regression gate
 Usage::
 
     python -m repro.experiments perf                 # full ladder
-    python -m repro.experiments perf --smoke         # smallest rung only
+    python -m repro.experiments perf --smoke         # the 1k and 10k hta rungs
     python -m repro.experiments perf --gate          # + regression gate
 
-``--smoke`` runs the single ``ladder-1k-100-hta`` scenario (the CI
-job); the full sweep wall-boxes each run, so even the 100k-task rung is
-bounded. Speedups against the committed pre-optimization capture
+``--smoke`` runs ``ladder-1k-100-hta`` and ``ladder-10k-1k-hta`` (the
+CI job; about 12 s together on a 2-core VM); the full sweep wall-boxes
+each run, so even the 100k-task rung is bounded. Speedups against the
+committed pre-optimization capture
 (``benchmarks/baselines/PRE_OPTIMIZATION.json``) are folded into the
 report when that file is present.
 """
@@ -27,7 +28,7 @@ from typing import Optional
 
 from repro.perf.bench import BenchConfig, run_bench
 from repro.perf.gate import check_regression, load_report
-from repro.perf.scenarios import LADDER, SMOKE_SCENARIO, scenario_by_name
+from repro.perf.scenarios import LADDER, SMOKE_SCENARIOS, scenario_by_name
 
 #: Repository root (src/repro/experiments/perf.py -> three parents up).
 _ROOT = Path(__file__).resolve().parents[3]
@@ -51,7 +52,9 @@ def main(
     that moved its workload between runs would gate nothing."""
     del seed
     scenarios = (
-        [scenario_by_name(SMOKE_SCENARIO)] if smoke else list(LADDER)
+        [scenario_by_name(name) for name in SMOKE_SCENARIOS]
+        if smoke
+        else list(LADDER)
     )
     config = BenchConfig(
         scenarios=scenarios,

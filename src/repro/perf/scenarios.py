@@ -127,6 +127,11 @@ LADDER: List[PerfScenario] = ladder_scenarios() + sharded_scenarios()
 #: The CI smoke rung: smallest workload, the paper's own policy.
 SMOKE_SCENARIO: str = "ladder-1k-100-hta"
 
+#: What ``perf --smoke`` runs: the smoke rung plus the 10k rung, whose
+#: fixed-seed event count pins behaviour at a scale where dispatch and
+#: the scheduler matter.
+SMOKE_SCENARIOS: Tuple[str, ...] = (SMOKE_SCENARIO, "ladder-10k-1k-hta")
+
 
 def scenario_by_name(name: str) -> PerfScenario:
     for scenario in LADDER:

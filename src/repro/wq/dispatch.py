@@ -36,6 +36,7 @@ Dispatch protocol (the explicit surface a driver exercises):
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -59,6 +60,28 @@ from repro.wq.task import Task, TaskResult, TaskState
 from repro.wq.worker import Worker, WorkerState
 
 CompletionCallback = Callable[[Task, TaskResult], None]
+
+
+def _placement_sig(task: Task) -> Tuple:
+    """The inputs that decide where (and whether) ``task`` can be
+    placed: category drives the estimate, footprint/min_allocation/
+    declared drive the sizing. Tasks sharing a signature are
+    interchangeable to one dispatch pass."""
+    return (task.category, task.footprint, task.min_allocation, task.declared)
+
+
+def _count_in(counts: Dict, key) -> None:
+    """Add one ``key`` to a multiset kept as a dict of positive counts."""
+    counts[key] = counts.get(key, 0) + 1
+
+
+def _count_out(counts: Dict, key) -> None:
+    """Remove one ``key``; a key whose count reaches zero is deleted."""
+    n = counts[key] - 1
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,12 +224,19 @@ class DispatchCore:
         #: Mirror of the subset of ``workers`` whose ``accepting`` flag is
         #: true, maintained through :meth:`worker_status_changed`, so a
         #: dispatch pass touches only real candidates instead of scanning
-        #: every connected worker. The best-fit key ends in the unique
-        #: worker name, so the winner is independent of iteration order.
+        #: every connected worker.
         self._accepting: Dict[str, Worker] = {}
-        #: Last-seen (accepting, idle, busy, draining) per worker; the
-        #: deltas keep the integer counters below exact.
-        self._worker_flags: Dict[str, Tuple[bool, bool, bool, bool]] = {}
+        #: The same workers as ``(available cores, name)`` keys in sorted
+        #: order: :meth:`_try_place` bisects to the smallest core count a
+        #: task fits and walks upward. Every change to a worker's runs
+        #: reaches :meth:`_refresh_worker_cache`, so the keys stay exact.
+        self._accept_index: List[Tuple[float, str]] = []
+        #: Accepting workers per capacity shape; a placement sizes the
+        #: task once per shape instead of once per candidate.
+        self._accept_shapes: Dict[ResourceVector, int] = {}
+        #: Last-seen (accepting, idle, busy, draining, available cores)
+        #: per worker; the deltas keep the counters and the index exact.
+        self._worker_flags: Dict[str, Tuple[bool, bool, bool, bool, float]] = {}
         self._n_idle = 0
         self._n_busy = 0
         self._n_draining = 0
@@ -220,6 +250,10 @@ class DispatchCore:
         #: Ids of tasks currently in ``queue`` — O(1) membership for the
         #: completion/reconnect paths that used to scan the whole list.
         self._queued_ids: Set[int] = set()
+        #: Multiset of the queued tasks' placement signatures: a dispatch
+        #: pass stops as soon as every live signature is proven
+        #: unplaceable instead of walking the rest of the queue.
+        self._queued_sigs: Dict[Tuple, int] = {}
         #: Queued tasks with nonzero priority; while zero (the default for
         #: every workload) the dispatch order is plain queue order and the
         #: per-pass sort is skipped.
@@ -377,11 +411,12 @@ class DispatchCore:
         self._worker_lost_listeners = self._worker_lost_listeners + (fn,)
 
     # ------------------------------------------------------- queue indexing
-    # Every mutation of ``queue`` goes through these helpers so the id set
-    # and the nonzero-priority count stay exact.
+    # Every mutation of ``queue`` goes through these helpers so the id set,
+    # the signature multiset and the nonzero-priority count stay exact.
     def _enqueue_back(self, task: Task) -> None:
         self.queue.append(task)
         self._queued_ids.add(task.id)
+        _count_in(self._queued_sigs, _placement_sig(task))
         self._queue_rev += 1
         if task.priority:
             self._queued_priority += 1
@@ -389,6 +424,7 @@ class DispatchCore:
     def _enqueue_front(self, task: Task) -> None:
         self.queue.insert(0, task)
         self._queued_ids.add(task.id)
+        _count_in(self._queued_sigs, _placement_sig(task))
         self._queue_rev += 1
         if task.priority:
             self._queued_priority += 1
@@ -400,6 +436,7 @@ class DispatchCore:
             return
         self.queue = [t for t in self.queue if t is not task]
         self._queued_ids.discard(task.id)
+        _count_out(self._queued_sigs, _placement_sig(task))
         self._queue_rev += 1
         if task.priority:
             self._queued_priority -= 1
@@ -407,6 +444,9 @@ class DispatchCore:
     def _reset_queue(self, tasks: List[Task]) -> None:
         self.queue = tasks
         self._queued_ids = {t.id for t in tasks}
+        self._queued_sigs = {}
+        for t in tasks:
+            _count_in(self._queued_sigs, _placement_sig(t))
         self._queue_rev += 1
         self._queued_priority = sum(1 for t in tasks if t.priority)
 
@@ -440,9 +480,13 @@ class DispatchCore:
         self._workers_rev += 1
         old = self._worker_flags.pop(name, None)
         if old is not None:
-            was_accepting, was_idle, was_busy, was_draining = old
+            was_accepting, was_idle, was_busy, was_draining, was_cores = old
             if was_accepting:
-                self._accepting.pop(name, None)
+                # The indexed worker may be a predecessor registered
+                # under the same (recycled) name; retire *its* shape.
+                _count_out(self._accept_shapes, self._accepting.pop(name).capacity)
+                index = self._accept_index
+                del index[bisect_left(index, (was_cores, name))]
             if was_idle:
                 self._n_idle -= 1
             if was_busy:
@@ -457,9 +501,12 @@ class DispatchCore:
         busy = bool(worker.runs) and (
             worker.state is WorkerState.READY or draining
         )
-        self._worker_flags[name] = (accepting, idle, busy, draining)
+        cores = worker.available().cores
+        self._worker_flags[name] = (accepting, idle, busy, draining, cores)
         if accepting:
             self._accepting[name] = worker
+            _count_in(self._accept_shapes, worker.capacity)
+            insort(self._accept_index, (cores, name))
         if idle:
             self._n_idle += 1
         if busy:
@@ -470,6 +517,8 @@ class DispatchCore:
     def _reset_worker_caches(self) -> None:
         self._workers_rev += 1
         self._accepting.clear()
+        self._accept_index.clear()
+        self._accept_shapes.clear()
         self._worker_flags.clear()
         self._n_idle = 0
         self._n_busy = 0
@@ -1085,10 +1134,13 @@ class DispatchCore:
             return
         self.wasted_core_s += elapsed * self._billable_cores(task)
 
-    def _worker_running(self, task_id: int) -> Optional[Worker]:
-        for worker in self.workers.values():
-            if task_id in worker.runs:
-                return worker
+    def _worker_running(self, task: Task) -> Optional[Worker]:
+        """The registered worker executing ``task``, if any. O(holders):
+        ``Task._holders`` already lists every worker whose runs hold it."""
+        workers = self.workers
+        for w in task._holders:
+            if workers.get(w.name) is w:
+                return w
         return None
 
     # ------------------------------------------------------------- dispatch
@@ -1099,8 +1151,9 @@ class DispatchCore:
 
     def _running_elsewhere(self, task: Task, worker: Worker) -> bool:
         """Is another registered worker currently executing this task?"""
+        workers = self.workers
         return any(
-            task.id in w.runs for w in self.workers.values() if w is not worker
+            w is not worker and workers.get(w.name) is w for w in task._holders
         )
 
     def _dispatch(self) -> None:
@@ -1113,86 +1166,113 @@ class DispatchCore:
         # When every queued priority is the default 0 (tracked by the
         # queue helpers) the sorted order IS the queue order, so the
         # per-pass sort is skipped.
+        queue = self.queue
         if self._queued_priority:
-            ordered = sorted(self.queue, key=lambda t: -t.priority)
+            ordered = sorted(queue, key=lambda t: -t.priority)
         else:
-            ordered = self.queue
+            ordered = queue
         # Within one synchronous pass worker capacity only shrinks, so a
         # task that found no seat proves the same for every later task
-        # with the same placement inputs (category drives the estimate;
-        # footprint/min_allocation/declared drive the sizing). Memoizing
-        # the failures turns the tail of a saturated pass into O(1) per
-        # task instead of a full candidate scan each.
+        # with the same placement signature. Once every signature still
+        # queued (the live multiset, less this pass's placements) is
+        # proven unplaceable, no later task can place and the walk stops:
+        # a saturated pass costs O(signatures + placements), not O(queue).
+        live = self._queued_sigs
         unplaceable: Set[Tuple] = set()
         placed: List[Task] = []
-        for task in ordered:
-            sig = (task.category, task.footprint, task.min_allocation, task.declared)
+        walked = len(ordered)
+        for i, task in enumerate(ordered):
+            sig = _placement_sig(task)
             if sig in unplaceable:
                 continue
             if self._try_place(task):
                 placed.append(task)
+                _count_out(live, sig)
             else:
                 unplaceable.add(sig)
+            if len(unplaceable) == len(live):
+                walked = i + 1
+                break
         if placed:
             placed_ids = {t.id for t in placed}
-            self.queue = [t for t in self.queue if t.id not in placed_ids]
+            if ordered is queue:
+                # Only the walked prefix can hold placed tasks; rewrite it
+                # in place instead of copying the unwalked tail.
+                queue[:walked] = [
+                    t for t in queue[:walked] if t.id not in placed_ids
+                ]
+            else:
+                self.queue = [t for t in queue if t.id not in placed_ids]
             self._queued_ids -= placed_ids
             self._queue_rev += 1
             if self._queued_priority:
                 self._queued_priority -= sum(1 for t in placed if t.priority)
 
-    #: Sentinel distinguishing "capacity not sized yet" from "sized to
-    #: None (task cannot fit this capacity at all)" in the dispatch memo.
-    _UNSIZED = object()
-
     def _try_place(self, task: Task, exclude: Optional[Worker] = None) -> bool:
-        best: Optional[Worker] = None
-        best_alloc: Optional[ResourceVector] = None
-        best_key = None
         estimator = self.estimator
         footprint = task.footprint
         min_allocation = task.min_allocation
         # The sized allocation depends on the task and the *capacity*, not
-        # the worker; in the (typical) homogeneous fleet it is computed
-        # once instead of once per candidate. None marks a capacity the
-        # task can never fit.
+        # the worker, so it is computed once per accepting capacity shape.
+        # None marks a capacity the task can never fit.
         alloc_by_capacity: Dict[ResourceVector, Optional[ResourceVector]] = {}
-        for worker in self._accepting.values():
-            if worker is exclude or not worker.accepting:
-                continue
-            capacity = worker.capacity
-            alloc = alloc_by_capacity.get(capacity, DispatchCore._UNSIZED)
-            if alloc is DispatchCore._UNSIZED:
-                alloc = estimator.allocation_for(task, capacity)
-                if alloc is None:
-                    alloc = capacity  # whole-worker (conservative/probe)
-                else:
-                    # Never allocate less than the task actually needs,
-                    # and never more than the worker has in total.
-                    alloc = alloc.max_with(footprint)
-                    if min_allocation is not None:
-                        # Escalated retry: grant the post-escalation
-                        # size, capped at the whole worker so the task
-                        # can still be placed somewhere.
-                        alloc = (
-                            alloc.max_with(min_allocation)
-                            .min_with(capacity)
-                            .max_with(footprint)
-                        )
-                    if not alloc.fits_in(capacity):
-                        alloc = None
-                alloc_by_capacity[capacity] = alloc
+        need: Optional[float] = None
+        for capacity in self._accept_shapes:
+            alloc = estimator.allocation_for(task, capacity)
             if alloc is None:
+                alloc = capacity  # whole-worker (conservative/probe)
+            else:
+                # Never allocate less than the task actually needs,
+                # and never more than the worker has in total.
+                alloc = alloc.max_with(footprint)
+                if min_allocation is not None:
+                    # Escalated retry: grant the post-escalation
+                    # size, capped at the whole worker so the task
+                    # can still be placed somewhere.
+                    alloc = (
+                        alloc.max_with(min_allocation)
+                        .min_with(capacity)
+                        .max_with(footprint)
+                    )
+                if not alloc.fits_in(capacity):
+                    alloc = None
+            alloc_by_capacity[capacity] = alloc
+            if alloc is not None and (need is None or alloc.cores < need):
+                need = alloc.cores
+        if need is None:
+            return False
+        # Best fit: prefer cache hits, then the fewest available cores,
+        # then the largest name. The index is walked in ascending
+        # (cores, name) order from the first key that could fit (the
+        # 1e-6 margin covers ``fits_in``'s epsilon), so a later candidate
+        # wins iff it is cached and the holder is not, or it ties the
+        # holder on both cache and cores. Once a cached holder is found,
+        # no key with more cores can beat it.
+        accepting = self._accepting
+        index = self._accept_index
+        best: Optional[Worker] = None
+        best_alloc: Optional[ResourceVector] = None
+        best_cached = False
+        best_cores = 0.0
+        for i in range(bisect_left(index, (need - 1e-6,)), len(index)):
+            cores, name = index[i]
+            if best_cached and cores > best_cores:
+                break
+            worker = accepting[name]
+            if worker is exclude:
                 continue
-            available = worker.available()
-            if not alloc.fits_in(available):
+            alloc = alloc_by_capacity[worker.capacity]
+            if alloc is None or not alloc.fits_in(worker.available()):
                 continue
-            # Prefer cache hits; then best-fit by remaining cores. The
-            # unique name tiebreak makes the winner independent of the
-            # order the index is walked in.
-            key = (worker.has_cached(task), -available.cores, worker.name)
-            if best_key is None or key > best_key:
-                best, best_alloc, best_key = worker, alloc, key
+            cached = worker.has_cached(task)
+            if (
+                best is None
+                or (cached and not best_cached)
+                or (cached == best_cached and cores == best_cores)
+            ):
+                best, best_alloc, best_cached, best_cores = (
+                    worker, alloc, cached, cores,
+                )
         if best is None or best_alloc is None:
             return False
         self.running[task.id] = task
@@ -1286,7 +1366,7 @@ class DispatchCore:
         clone.speculation_of = original.id
         clone.min_allocation = original.min_allocation
         clone.submit_time = original.submit_time
-        if not self._try_place(clone, exclude=self._worker_running(original.id)):
+        if not self._try_place(clone, exclude=self._worker_running(original)):
             return False
         self._spec[original.id] = clone
         self._spec_origin[clone.id] = original
@@ -1306,7 +1386,7 @@ class DispatchCore:
             return
         self._spec_origin.pop(clone.id, None)
         self.running.pop(clone.id, None)
-        host = self._worker_running(clone.id)
+        host = self._worker_running(clone)
         if host is not None:
             self._charge_waste(clone)
             host.cancel_run(clone)
@@ -1485,7 +1565,7 @@ class DispatchCore:
         self.speculation_wins += 1
         self.running.pop(original.id, None)
         self._dequeue(original)
-        host = self._worker_running(original.id)
+        host = self._worker_running(original)
         if host is not None:
             self._charge_waste(original)
             host.cancel_run(original)

@@ -335,7 +335,7 @@ class TestSpeculation:
         engine.run(until=engine.now + 22.0)
         assert master.tasks_speculated == 1
         clone = master._spec[straggler.id]
-        host = master._worker_running(clone.id)
+        host = master._worker_running(clone)
         assert host is not None
         requeued_before = master.tasks_requeued
         host.kill()
