@@ -14,7 +14,7 @@ from benchmarks.conftest import run_once
 from repro.cluster.chaos import ChaosInjector
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import StackConfig, run_hta_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.workloads.synthetic import staged_pipeline
 
 
@@ -38,17 +38,24 @@ def _run(seed: int, chaos_interval_s: float | None):
     # the runner and attach chaos by patching the drive loop is fragile —
     # instead assemble manually for the chaotic variant.
     if chaos_interval_s is None:
-        return run_hta_experiment(workload, stack_config=cfg, name="calm")
+        return run_experiment(
+            ExperimentSpec(workload, policy="hta", name="calm", stack=cfg)
+        )
     return _run_chaotic(cfg, workload, chaos_interval_s)
 
 
 def _run_chaotic(cfg, workload, interval_s):
     from repro.cluster.images import ContainerImage
-    from repro.experiments.runner import _Stack, _drive, _collect, _make_accountant
+    from repro.experiments.runner import (
+        _Stack,
+        _Workflows,
+        _collect,
+        _drive,
+        _make_accountant,
+    )
     from repro.hta.inittime import InitTimeTracker
     from repro.hta.operator import HtaConfig, HtaOperator
     from repro.hta.provisioner import WorkerProvisioner
-    from repro.makeflow.manager import WorkflowManager
 
     stack = _Stack(cfg, estimator_kind="monitor")
     provisioner = WorkerProvisioner(
@@ -69,18 +76,16 @@ def _run_chaotic(cfg, workload, interval_s):
     )
     chaos = ChaosInjector(stack.engine, stack.cluster.api, stack.rng)
     chaos.schedule_node_failures(interval_s, start_after=300.0)
-    manager = WorkflowManager(stack.engine, workload, operator, recorder=stack.recorder)
-    manager.done_signal.add_waiter(lambda _m: operator.notify_no_more_jobs())
+    workflows = _Workflows(stack, workload, operator, operator.notify_no_more_jobs)
     accountant = _make_accountant(stack, shortage_extra=operator.held_cores)
     operator.start()
-    _drive(stack, manager, accountant)
+    _drive(stack, workflows, accountant)
     chaos.stop()
     result = _collect(
         "chaotic",
         stack,
-        manager,
+        workflows,
         accountant,
-        workload,
         nodes_killed=float(chaos.nodes_killed),
     )
     return result

@@ -36,7 +36,10 @@ Quickstart::
 
 Swap ``policy`` for ``"hpa"``, ``"predictive"``, ``"queue"``, or
 ``"static"`` (with ``options={"n_workers": N}``) to compare the paper's
-baselines on the same substrate. To audit what the autoscaler did, pass
+baselines on the same substrate. A list of
+:class:`~repro.workloads.arrivals.WorkflowArrival` in place of the
+workload runs an arrival stream (the long-running facility) instead.
+To audit what the autoscaler did, pass
 ``telemetry=TelemetryConfig(enabled=True)`` and feed
 ``result.trace_events`` to :func:`repro.telemetry.explain_decisions`.
 
@@ -71,12 +74,6 @@ __all__ = [
     "explain_decisions",
     "prometheus_text",
     "write_events_jsonl",
-    # -- deprecated entry points (thin wrappers over run_experiment)
-    "run_hpa_experiment",
-    "run_hta_experiment",
-    "run_predictive_experiment",
-    "run_queue_scaler_experiment",
-    "run_static_experiment",
 ]
 
 _RUNNER_EXPORTS = {
@@ -86,11 +83,6 @@ _RUNNER_EXPORTS = {
     "StackConfig",
     "register_policy",
     "run_experiment",
-    "run_hpa_experiment",
-    "run_hta_experiment",
-    "run_predictive_experiment",
-    "run_queue_scaler_experiment",
-    "run_static_experiment",
 }
 
 _WQ_EXPORTS = {

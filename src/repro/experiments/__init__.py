@@ -6,15 +6,13 @@ The entry points:
   :func:`~repro.experiments.runner.run_experiment` builds the full stack
   (cluster + Work Queue + workflow manager) under the policy named by an
   :class:`~repro.experiments.runner.ExperimentSpec` and returns an
-  :class:`~repro.experiments.runner.ExperimentResult`;
+  :class:`~repro.experiments.runner.ExperimentResult` — for one workflow
+  or for an arrival stream of them (:mod:`repro.workloads.arrivals`);
 * ``fig2`` / ``fig4`` / ``fig5`` / ``fig6`` / ``fig10`` / ``fig11`` —
   the per-figure harnesses, each printing the same rows/series the paper
   reports (and the paper's own numbers alongside);
 * ``python -m repro.experiments <figN|all>`` — the CLI (``--trace-out``
   records a telemetry trace, ``--explain`` prints the decision audit).
-
-The ``run_*_experiment`` functions are deprecated wrappers kept for
-backward compatibility.
 """
 
 from repro.experiments import sweeps
@@ -25,11 +23,6 @@ from repro.experiments.runner import (
     StackConfig,
     register_policy,
     run_experiment,
-    run_hpa_experiment,
-    run_hta_experiment,
-    run_predictive_experiment,
-    run_queue_scaler_experiment,
-    run_static_experiment,
 )
 
 __all__ = [
@@ -39,10 +32,5 @@ __all__ = [
     "StackConfig",
     "register_policy",
     "run_experiment",
-    "run_hpa_experiment",
-    "run_hta_experiment",
-    "run_predictive_experiment",
-    "run_queue_scaler_experiment",
-    "run_static_experiment",
     "sweeps",
 ]

@@ -20,9 +20,13 @@ policies mirror the resource-provisioning modes the paper compares:
 * ``"static"`` — a fixed worker pool (fig 4's sizing study and fig 2's
   "ideal" reference).
 
-New policies plug in through :func:`register_policy`. The historical
-``run_hta_experiment``-style entry points survive as deprecated thin
-wrappers over :func:`run_experiment`.
+New policies plug in through :func:`register_policy`.
+
+The workload is either one workflow (a DAG or a bag of tasks) or an
+arrival stream — a sequence of
+:class:`~repro.workloads.arrivals.WorkflowArrival` — run on one stack
+under one autoscaler: the paper's facility that completes "as many jobs
+as possible over a long period of time". Every policy runs either.
 
 Telemetry (the :mod:`repro.telemetry` tracer + metrics registry) is
 wired through every layer when the spec carries an enabled
@@ -33,17 +37,8 @@ early-returning call per instrumented site.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.cluster.chaos import ChaosInjector
 from repro.cluster.cluster import Cluster, ClusterConfig
@@ -52,7 +47,6 @@ from repro.cluster.images import ContainerImage
 from repro.cluster.pod import PodSpec
 from repro.cluster.replicaset import WorkerReplicaSet
 from repro.cluster.resources import ResourceVector
-from repro.hta.estimator import EstimatorConfig
 from repro.hta.inittime import FixedInitTime, InitTimeTracker
 from repro.hta.operator import HtaConfig, HtaOperator
 from repro.hta.preemption import PreemptionResponder
@@ -69,6 +63,7 @@ from repro.telemetry.session import (
     default_sink,
     default_telemetry,
 )
+from repro.workloads.arrivals import WorkflowArrival
 from repro.wq.estimator import (
     AllocationEstimator,
     ConservativeEstimator,
@@ -98,19 +93,95 @@ from repro.wq.sharding import (
     TaskPartitioner,
 )
 from repro.wq.task import Task
-from repro.wq.worker import WorkerState
 
-Workload = Union[WorkflowGraph, Sequence[Task]]
+Workload = Union[WorkflowGraph, Sequence[Task], Sequence[WorkflowArrival]]
 
 #: The worker container image (the paper pulls from a private registry).
 DEFAULT_WORKER_IMAGE = ContainerImage("wq-worker", 500.0)
 
 
-def ensure_graph(workload: Workload) -> WorkflowGraph:
+def ensure_graph(workload: Union[WorkflowGraph, Sequence[Task]]) -> WorkflowGraph:
     """Accept either a DAG or a bag of independent tasks."""
     if isinstance(workload, WorkflowGraph):
         return workload
     return WorkflowGraph(list(workload))
+
+
+def _arrival_stream(workload: Workload) -> Optional[List[WorkflowArrival]]:
+    """The workload's arrivals in time order, or None if it is one
+    workflow (a DAG or a bag of tasks)."""
+    if isinstance(workload, WorkflowGraph):
+        return None
+    items = list(workload)
+    if not items or not all(isinstance(i, WorkflowArrival) for i in items):
+        return None
+    return sorted(items, key=lambda a: a.time_s)
+
+
+class _Workflows:
+    """The run's workflows, one :class:`WorkflowManager` each, all on
+    one submitter.
+
+    A bare workload (a DAG or a bag of tasks) is one workflow that
+    :meth:`start` starts when the drive begins. A stream gets one manager
+    per arrival, in arrival order, each started by an event at its
+    arrival time — t=0 arrivals included, so they queue behind the
+    policy's own t=0 events like every later arrival. ``on_done`` runs
+    once, when the last workflow completes.
+    """
+
+    def __init__(
+        self,
+        stack: "_Stack",
+        workload: Workload,
+        submitter,
+        on_done: Optional[Callable[[], None]] = None,
+    ):
+        arrivals = _arrival_stream(workload)
+        self._stream = arrivals is not None
+        graphs = (
+            [a.graph for a in arrivals]
+            if arrivals is not None
+            else [ensure_graph(workload)]
+        )
+        self._on_done = on_done
+        self._remaining = len(graphs)
+        self.managers: List[WorkflowManager] = []
+        for i, graph in enumerate(graphs):
+            manager = WorkflowManager(
+                stack.engine, graph, submitter, recorder=stack.recorder
+            )
+            if on_done is not None:
+                manager.done_signal.add_waiter(self._one_done)
+            if arrivals is not None:
+                stack.engine.call_at(arrivals[i].time_s, manager.start)
+            self.managers.append(manager)
+
+    def _one_done(self, _manager: WorkflowManager) -> None:
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._on_done()
+
+    def start(self) -> None:
+        """Start a bare workload; a stream's arrivals start themselves."""
+        if not self._stream:
+            self.managers[0].start()
+
+    @property
+    def done(self) -> bool:
+        return all(m.done for m in self.managers)
+
+    @property
+    def failed_task_ids(self) -> List[int]:
+        return sorted(t for m in self.managers for t in m.failed_task_ids)
+
+    @property
+    def tasks_total(self) -> int:
+        return sum(len(m.graph) for m in self.managers)
+
+    def progress(self) -> float:
+        done = sum(m.progress() * len(m.graph) for m in self.managers)
+        return done / self.tasks_total
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,20 +506,46 @@ class ExperimentResult:
     tasks_requeued: int
     nodes_peak: int
     workers_started: int
+    #: Each workflow's makespan, in arrival order (one entry for a bare
+    #: workload; ``makespan_s`` is the latest finish time).
+    workflow_makespans: List[float] = field(default_factory=list)
     extras: Dict[str, float] = field(default_factory=dict)
     #: The run's tracer + metrics registry (None for results built by
     #: code paths predating telemetry).
     telemetry: Optional[TelemetrySession] = None
 
+    @property
+    def workflows(self) -> int:
+        return len(self.workflow_makespans)
+
+    @property
+    def mean_workflow_makespan_s(self) -> float:
+        if not self.workflow_makespans:
+            return 0.0
+        return sum(self.workflow_makespans) / len(self.workflow_makespans)
+
+    @property
+    def throughput_tasks_per_hour(self) -> float:
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.tasks_completed / (self.makespan_s / 3600.0)
+
     def summary(self) -> str:
         a = self.accounting
-        return (
+        text = (
             f"{self.name}: runtime {self.makespan_s:.0f}s, "
             f"waste {a.accumulated_waste_core_s:.0f} core*s, "
             f"shortage {a.accumulated_shortage_core_s:.0f} core*s, "
             f"utilization {a.utilization:.1%}, "
             f"tasks {self.tasks_completed}/{self.tasks_total}"
         )
+        if self.workflows > 1:
+            text += (
+                f" | {self.workflows} workflows, "
+                f"mean makespan {self.mean_workflow_makespan_s:.0f}s, "
+                f"{self.throughput_tasks_per_hour:.0f} tasks/h"
+            )
+        return text
 
     def series(self, name: str):
         return self.accountant.series(name)
@@ -469,28 +566,30 @@ class WorkflowFailed(RuntimeError):
     """A task was permanently abandoned; the DAG can never complete."""
 
 
-def _drive(stack: _Stack, manager: WorkflowManager, accountant: ResourceAccountant) -> None:
-    """Advance the simulation until the workflow completes."""
+def _drive(
+    stack: _Stack, workflows: _Workflows, accountant: ResourceAccountant
+) -> None:
+    """Advance the simulation until every workflow completes."""
     engine = stack.engine
     limit = stack.config.max_sim_time_s
     chunk = 60.0
     accountant.start()
-    manager.start()
-    while not manager.done:
-        if manager.failed:
+    workflows.start()
+    while not workflows.done:
+        failed = workflows.failed_task_ids
+        if failed:
             raise WorkflowFailed(
-                f"task(s) {sorted(manager.failed_task_ids)} permanently "
-                f"abandoned at t={engine.now:.0f}s"
+                f"task(s) {failed} permanently abandoned at t={engine.now:.0f}s"
             )
         if engine.now >= limit:
             raise ExperimentTimeout(
-                f"workflow incomplete at t={engine.now:.0f}s "
-                f"({manager.progress():.0%} done)"
+                f"workload incomplete at t={engine.now:.0f}s "
+                f"({workflows.progress():.0%} done)"
             )
         if engine.peek() is None:
             raise ExperimentTimeout(
-                f"event queue drained at t={engine.now:.0f}s with workflow "
-                f"{manager.progress():.0%} done — a control loop stopped early"
+                f"event queue drained at t={engine.now:.0f}s with workload "
+                f"{workflows.progress():.0%} done — a control loop stopped early"
             )
         engine.run(until=min(limit, engine.now + chunk))
     accountant.stop()
@@ -499,9 +598,8 @@ def _drive(stack: _Stack, manager: WorkflowManager, accountant: ResourceAccounta
 def _collect(
     name: str,
     stack: _Stack,
-    manager: WorkflowManager,
+    workflows: _Workflows,
     accountant: ResourceAccountant,
-    graph: WorkflowGraph,
     **extras: float,
 ) -> ExperimentResult:
     t0, t1 = accountant.window()
@@ -571,17 +669,19 @@ def _collect(
                 stack.chaos.black_holes_injected
             )
     fault_extras.update(extras)
+    managers = workflows.managers
     return ExperimentResult(
         name=name,
-        makespan_s=manager.makespan or 0.0,
+        makespan_s=max((m.finish_time or 0.0) for m in managers),
         accounting=accountant.summarize(),
         accountant=accountant,
         recorder=stack.recorder,
-        tasks_total=len(graph),
+        tasks_total=workflows.tasks_total,
         tasks_completed=len(stack.master.done),
         tasks_requeued=stack.master.tasks_requeued,
         nodes_peak=int(accountant.series("nodes").maximum(t0, t1)),
         workers_started=stack.runtime.workers_started,
+        workflow_makespans=[m.makespan or 0.0 for m in managers],
         extras=fault_extras,
         telemetry=stack.telemetry,
     )
@@ -628,9 +728,11 @@ def _make_accountant(
 class ExperimentSpec:
     """One experiment run, fully described.
 
-    ``policy`` names an entry in the policy registry (``hta``,
-    ``predictive``, ``hpa``, ``queue``, ``static``, or anything added
-    via :func:`register_policy`); ``options`` carries the policy's own
+    ``workload`` is one workflow (a DAG or a bag of tasks) or an arrival
+    stream (a sequence of :class:`WorkflowArrival`). ``policy`` names an
+    entry in the policy registry (``hta``, ``predictive``, ``hpa``,
+    ``queue``, ``static``, ``sharded``, or anything added via
+    :func:`register_policy`); ``options`` carries the policy's own
     knobs (e.g. ``{"target_cpu": 0.8}`` for HPA, ``{"n_workers": 10}``
     for static). ``telemetry=None`` defers to the process-wide default
     installed by the CLI's ``--trace-out`` (and to "disabled" when
@@ -650,18 +752,16 @@ class ExperimentSpec:
 class _PolicyHarness:
     """What a policy builder hands back to :func:`run_experiment`.
 
-    The runner owns the generic sequence (stack → manager → accountant →
-    drive → collect); the harness injects the policy-specific pieces at
-    the same points the historical per-policy functions did, so a fixed
-    seed reproduces their runs exactly.
+    The runner owns the generic sequence (stack → managers → accountant →
+    drive → collect); the harness injects the policy-specific pieces.
     """
 
     #: Default result name (used when the spec does not set one).
     name: str
-    #: What the WorkflowManager submits ready jobs to (operator/master).
+    #: What the WorkflowManagers submit ready jobs to (operator/master).
     submitter: object
-    #: Called with the freshly built manager (e.g. done-signal wiring).
-    on_manager: Optional[Callable[[WorkflowManager], None]] = None
+    #: Called once the last workflow completes (HTA's end-of-jobs notice).
+    on_done: Optional[Callable[[], None]] = None
     #: Extra cores counted as shortage (HTA's warm-up-held tasks).
     shortage_extra: Optional[Callable[[], float]] = None
     #: Extra accountant gauges.
@@ -679,7 +779,7 @@ class PolicyDefinition:
     """A registry entry: how to validate, size, and build one policy."""
 
     key: str
-    build: Callable[["_Stack", StackConfig, WorkflowGraph, Dict], _PolicyHarness]
+    build: Callable[["_Stack", StackConfig, Dict], _PolicyHarness]
     #: Dispatch-estimator kind the master should use (resolved from the
     #: options *before* the stack is built).
     estimator_kind: Callable[[Dict], str] = lambda options: "monitor"
@@ -710,7 +810,7 @@ def _reject_unknown(policy: str, options: Dict) -> None:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one experiment described by ``spec``; the single entry point
-    behind every figure harness, example, and deprecated wrapper."""
+    behind every figure harness and example."""
     try:
         policy = POLICIES[spec.policy]
     except KeyError:
@@ -729,15 +829,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     with _Stack(
         cfg, estimator_kind=policy.estimator_kind(options), telemetry=telemetry
     ) as stack:
-        graph = ensure_graph(spec.workload)
-        harness = policy.build(stack, cfg, graph, options)
+        harness = policy.build(stack, cfg, options)
         _reject_unknown(spec.policy, options)
         name = spec.name if spec.name is not None else harness.name
-        manager = WorkflowManager(
-            stack.engine, graph, harness.submitter, recorder=stack.recorder
+        workflows = _Workflows(
+            stack, spec.workload, harness.submitter, harness.on_done
         )
-        if harness.on_manager is not None:
-            harness.on_manager(manager)
         accountant = _make_accountant(
             stack,
             shortage_extra=harness.shortage_extra,
@@ -745,11 +842,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         )
         if harness.start is not None:
             harness.start()
-        _drive(stack, manager, accountant)
+        _drive(stack, workflows, accountant)
         if harness.finish is not None:
             harness.finish()
         extras = harness.extras(accountant) if harness.extras is not None else {}
-        result = _collect(name, stack, manager, accountant, graph, **extras)
+        result = _collect(name, stack, workflows, accountant, **extras)
     stack.telemetry.export(result.name)
     sink = default_sink()
     if sink is not None and stack.telemetry.enabled:
@@ -778,9 +875,7 @@ def _hta_tracker(stack: _Stack, cfg: StackConfig, fixed_init_time_s, *, resync: 
     )
 
 
-def _build_hta(
-    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
-) -> _PolicyHarness:
+def _build_hta(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHarness:
     hta_config = _take(options, "hta_config")
     fixed_init_time_s = _take(options, "fixed_init_time_s")
     #: Optional spot split for the worker pool; ``spot_aware`` adds the
@@ -877,9 +972,7 @@ def _build_hta(
     return _PolicyHarness(
         name="HTA",
         submitter=operator,
-        on_manager=lambda manager: manager.done_signal.add_waiter(
-            lambda _mgr: operator.notify_no_more_jobs()
-        ),
+        on_done=operator.notify_no_more_jobs,
         shortage_extra=operator.held_cores,
         gauges={
             "hta_pending_pods": lambda: float(len(provisioner.pending_pods())),
@@ -893,13 +986,61 @@ register_policy(PolicyDefinition(key="hta", build=_build_hta))
 
 
 # ------------------------------------------------------------------ sharded
+def build_shard_plane(
+    stack: _Stack, n_shards: int, *, failover: Optional[FailoverConfig] = None
+) -> Foreman:
+    """Replace the stack's master with ``n_shards`` dispatch masters
+    behind a :class:`Foreman`, partitioned by the stack seed's hash.
+
+    Shard 0 is the stack's own master; every other shard is stamped from
+    the same DispatchConfig and feeds the same (global) monitor, so
+    category statistics and allocation estimates see the full sample
+    stream regardless of which shard completed a task. From here on
+    everything holding ``stack.master`` — HTA, the accountant, result
+    collection, teardown — sees the foreman as *the* master. With a
+    ``failover`` config a :class:`FailoverCoordinator` rides along as
+    ``stack.failover``.
+    """
+    metrics = stack.metrics if stack.telemetry.enabled else None
+    shards = [stack.master]
+    for i in range(1, n_shards):
+        shards.append(
+            Master(
+                stack.engine,
+                stack.link,
+                config=stack.dispatch_config,
+                estimator=stack._make_estimator("monitor"),
+                monitor=stack.monitor,
+                name=f"{stack.master.name}-{i}",
+                tracer=stack.tracer,
+                metrics=metrics,
+            )
+        )
+    foreman = Foreman(
+        stack.engine,
+        shards,
+        partitioner=TaskPartitioner(n_shards, seed=stack.config.seed),
+    )
+    # A faults.max_retries override landed on shard 0 post-construction;
+    # replicate it everywhere through the foreman's broadcast setter.
+    foreman.max_retries = shards[0].max_retries
+    stack.master = foreman
+    stack.runtime.master_selector = foreman.master_for_pod
+    if failover is not None:
+        stack.failover = FailoverCoordinator(
+            stack.engine,
+            foreman,
+            failover,
+            tracer=stack.tracer,
+            metrics=metrics,
+        )
+    return foreman
+
+
 def _validate_sharded(options: Dict) -> None:
     shards = options.get("shards", 4)
     if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
         raise ValueError("shards must be a positive integer")
-    mode = options.get("partition_mode", "hash")
-    if mode not in ("hash", "range"):
-        raise ValueError(f"unknown partition mode {mode!r}")
     crash_at = options.get("shard_crash_at_s")
     if crash_at is not None:
         if not isinstance(crash_at, (int, float)) or crash_at < 0:
@@ -913,65 +1054,25 @@ def _validate_sharded(options: Dict) -> None:
         raise ValueError("shard_crash_index out of range")
 
 
-def _build_sharded(
-    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
-) -> _PolicyHarness:
+def _build_sharded(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHarness:
     """HTA over the sharded data plane: N dispatch masters behind a
     Foreman, partitioned by seeded hash, with HTA consuming the
     foreman's aggregate view exactly as it would one master."""
     n_shards = int(_take(options, "shards", 4))
-    partition_mode = str(_take(options, "partition_mode", "hash"))
     failover = bool(_take(options, "failover", False))
     failover_grace_s = _take(options, "failover_grace_s")
     shard_crash_at_s = _take(options, "shard_crash_at_s")
     shard_crash_index = int(_take(options, "shard_crash_index", 0))
     shard_crash_restart_s = _take(options, "shard_crash_restart_s")
-    shards = [stack.master]
-    for i in range(1, n_shards):
-        # Every shard is stamped from the same DispatchConfig and feeds
-        # the same (global) monitor, so category statistics and
-        # allocation estimates see the full sample stream regardless of
-        # which shard completed a task.
-        shard = Master(
-            stack.engine,
-            stack.link,
-            config=stack.dispatch_config,
-            estimator=stack._make_estimator("monitor"),
-            monitor=stack.monitor,
-            name=f"{stack.master.name}-{i}",
-            tracer=stack.tracer,
-            metrics=stack.metrics if stack.telemetry.enabled else None,
-        )
-        shards.append(shard)
-    foreman = Foreman(
-        stack.engine,
-        shards,
-        partitioner=TaskPartitioner(
-            n_shards, seed=cfg.seed, mode=partition_mode
-        ),
-    )
-    # A faults.max_retries override landed on shard 0 post-construction;
-    # replicate it everywhere through the foreman's broadcast setter.
-    foreman.max_retries = shards[0].max_retries
-    # From here on the whole runner flow — HTA, the accountant, result
-    # collection, stack teardown — sees the foreman as *the* master.
-    stack.master = foreman
-    stack.runtime.master_selector = foreman.master_for_pod
-    coordinator: Optional[FailoverCoordinator] = None
+    failover_config = None
     if failover:
-        fo_cfg = (
+        failover_config = (
             FailoverConfig()
             if failover_grace_s is None
             else FailoverConfig(grace_s=float(failover_grace_s))
         )
-        coordinator = FailoverCoordinator(
-            stack.engine,
-            foreman,
-            fo_cfg,
-            tracer=stack.tracer,
-            metrics=stack.metrics if stack.telemetry.enabled else None,
-        )
-        stack.failover = coordinator
+    foreman = build_shard_plane(stack, n_shards, failover=failover_config)
+    coordinator = stack.failover
     if shard_crash_at_s is not None:
         restart = (
             None if shard_crash_restart_s is None else float(shard_crash_restart_s)
@@ -986,7 +1087,7 @@ def _build_sharded(
                 foreman.crash_shard(shard_crash_index, restart_delay_s=restart)
 
         stack.engine.call_at(float(shard_crash_at_s), _strike)
-    harness = _build_hta(stack, cfg, graph, options)
+    harness = _build_hta(stack, cfg, options)
     harness.name = f"HTA-sharded{n_shards}"
     if coordinator is not None:
         base_extras = harness.extras
@@ -1011,12 +1112,15 @@ register_policy(
 
 # --------------------------------------------------------------- predictive
 def _build_predictive(
-    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
+    stack: _Stack, cfg: StackConfig, options: Dict
 ) -> _PolicyHarness:
     from repro.forecast.scaler import PredictiveScaler, PredictiveScalerConfig
 
     scaler_config = _take(options, "scaler_config")
     fixed_init_time_s = _take(options, "fixed_init_time_s")
+    #: Optional OnlineModelSelector shaping the forecast model pool (e.g.
+    #: an AR order spanning a stream's arrival period).
+    selector = _take(options, "selector")
     if scaler_config is None:
         scaler_config = PredictiveScalerConfig(
             min_workers=cfg.cluster.min_nodes,
@@ -1035,7 +1139,13 @@ def _build_predictive(
     # resync plumbing and its runs are calibrated without it.
     tracker = _hta_tracker(stack, cfg, fixed_init_time_s, resync=False)
     scaler = PredictiveScaler(
-        stack.engine, stack.master, provisioner, tracker, scaler_config, stack.recorder
+        stack.engine,
+        stack.master,
+        provisioner,
+        tracker,
+        scaler_config,
+        stack.recorder,
+        selector=selector,
     )
 
     def finish() -> None:
@@ -1070,9 +1180,7 @@ def _worker_pod_spec(cfg: StackConfig, request: ResourceVector):
     return pod_spec
 
 
-def _build_hpa(
-    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
-) -> _PolicyHarness:
+def _build_hpa(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHarness:
     target_cpu = float(_take(options, "target_cpu", 0.5))
     hpa_config = _take(options, "hpa_config")
     min_replicas = _take(options, "min_replicas")
@@ -1123,9 +1231,7 @@ register_policy(PolicyDefinition(key="hpa", build=_build_hpa))
 
 
 # --------------------------------------------------------------- queue scaler
-def _build_queue(
-    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
-) -> _PolicyHarness:
+def _build_queue(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHarness:
     from repro.baselines.queue_scaler import QueueLengthAutoscaler, QueueScalerConfig
 
     scaler_config = _take(options, "scaler_config")
@@ -1171,9 +1277,7 @@ def _validate_static(options: Dict) -> None:
         raise ValueError("n_workers must be positive")
 
 
-def _build_static(
-    stack: _Stack, cfg: StackConfig, graph: WorkflowGraph, options: Dict
-) -> _PolicyHarness:
+def _build_static(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHarness:
     n_workers = int(_take(options, "n_workers"))
     options.pop("estimator", None)  # consumed pre-stack via estimator_kind
     request = stack.worker_request
@@ -1209,148 +1313,3 @@ register_policy(
         validate=_validate_static,
     )
 )
-
-
-# ------------------------------------------------- deprecated entry points
-def _deprecated(old: str, policy: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use "
-        f"run_experiment(ExperimentSpec(workload, policy={policy!r}, ...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_hta_experiment(
-    workload: Workload,
-    *,
-    stack_config: Optional[StackConfig] = None,
-    hta_config: Optional[HtaConfig] = None,
-    seed: Optional[int] = None,
-    name: str = "HTA",
-    fixed_init_time_s: Optional[float] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="hta"))``."""
-    _deprecated("run_hta_experiment", "hta")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="hta",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "hta_config": hta_config,
-                "fixed_init_time_s": fixed_init_time_s,
-            },
-        )
-    )
-
-
-def run_predictive_experiment(
-    workload: Workload,
-    *,
-    stack_config: Optional[StackConfig] = None,
-    scaler_config=None,
-    seed: Optional[int] = None,
-    name: str = "Predictive",
-    fixed_init_time_s: Optional[float] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="predictive"))``."""
-    _deprecated("run_predictive_experiment", "predictive")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="predictive",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "scaler_config": scaler_config,
-                "fixed_init_time_s": fixed_init_time_s,
-            },
-        )
-    )
-
-
-def run_hpa_experiment(
-    workload: Workload,
-    *,
-    target_cpu: float = 0.5,
-    stack_config: Optional[StackConfig] = None,
-    hpa_config: Optional[HpaConfig] = None,
-    min_replicas: Optional[int] = None,
-    max_replicas: Optional[int] = None,
-    seed: Optional[int] = None,
-    name: Optional[str] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="hpa"))``."""
-    _deprecated("run_hpa_experiment", "hpa")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="hpa",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "target_cpu": target_cpu,
-                "hpa_config": hpa_config,
-                "min_replicas": min_replicas,
-                "max_replicas": max_replicas,
-            },
-        )
-    )
-
-
-def run_queue_scaler_experiment(
-    workload: Workload,
-    *,
-    stack_config: Optional[StackConfig] = None,
-    scaler_config=None,
-    tasks_per_replica: float = 3.0,
-    min_replicas: Optional[int] = None,
-    max_replicas: Optional[int] = None,
-    seed: Optional[int] = None,
-    name: str = "KEDA-queue",
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="queue"))``."""
-    _deprecated("run_queue_scaler_experiment", "queue")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="queue",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={
-                "scaler_config": scaler_config,
-                "tasks_per_replica": tasks_per_replica,
-                "min_replicas": min_replicas,
-                "max_replicas": max_replicas,
-            },
-        )
-    )
-
-
-def run_static_experiment(
-    workload: Workload,
-    *,
-    n_workers: int,
-    stack_config: Optional[StackConfig] = None,
-    estimator: str = "monitor",
-    seed: Optional[int] = None,
-    name: Optional[str] = None,
-) -> ExperimentResult:
-    """Deprecated: ``run_experiment(ExperimentSpec(..., policy="static"))``."""
-    _deprecated("run_static_experiment", "static")
-    return run_experiment(
-        ExperimentSpec(
-            workload=workload,
-            policy="static",
-            name=name,
-            stack=stack_config,
-            seed=seed,
-            options={"n_workers": n_workers, "estimator": estimator},
-        )
-    )

@@ -39,9 +39,8 @@ from repro.experiments.runner import (
     _make_accountant,
     _reject_unknown,
     _Stack,
-    ensure_graph,
+    _Workflows,
 )
-from repro.makeflow.manager import WorkflowManager
 from repro.perf.scenarios import LADDER, PerfScenario
 from repro.telemetry.session import TelemetryConfig
 
@@ -162,14 +161,11 @@ def run_scenario(
         estimator_kind=policy.estimator_kind(options),
         telemetry=TelemetryConfig(enabled=False),
     ) as stack:
-        graph = ensure_graph(spec.workload)
-        harness = policy.build(stack, spec.stack, graph, options)
+        harness = policy.build(stack, spec.stack, options)
         _reject_unknown(scenario.policy, options)
-        manager = WorkflowManager(
-            stack.engine, graph, harness.submitter, recorder=stack.recorder
+        workflows = _Workflows(
+            stack, spec.workload, harness.submitter, harness.on_done
         )
-        if harness.on_manager is not None:
-            harness.on_manager(manager)
         accountant = _make_accountant(
             stack,
             shortage_extra=harness.shortage_extra,
@@ -180,9 +176,9 @@ def run_scenario(
         engine = stack.engine
         limit = spec.stack.max_sim_time_s
         accountant.start()
-        manager.start()
-        while not manager.done:
-            if manager.failed:
+        workflows.start()
+        while not workflows.done:
+            if workflows.failed_task_ids:
                 raise WorkflowFailed(
                     f"{scenario.name}: task(s) permanently abandoned at "
                     f"t={engine.now:.0f}s"
@@ -202,7 +198,7 @@ def run_scenario(
             # behaviour, only where the box lands.
             engine.run(until=limit, max_events=4096)
         accountant.stop()
-        if manager.done and harness.finish is not None:
+        if workflows.done and harness.finish is not None:
             harness.finish()
         wall = time.perf_counter() - started
         return RunMeasurement(
@@ -213,9 +209,9 @@ def run_scenario(
             wall_s=wall,
             sim_s=engine.now,
             events=engine.events_fired,
-            tasks_total=len(graph),
+            tasks_total=workflows.tasks_total,
             tasks_completed=len(stack.master.done),
-            completed=bool(manager.done),
+            completed=workflows.done,
             peak_rss_mb=_peak_rss_mb(),
         )
 

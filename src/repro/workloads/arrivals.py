@@ -3,8 +3,9 @@
 The paper opens with facilities that "seek to complete as many jobs as
 possible over a long period of time" — not one workflow, but a stream of
 them. This module generates deterministic arrival schedules (Poisson or
-fixed-interval) of workflow instances for the continuous-operation
-experiments in :mod:`repro.experiments.continuous`.
+fixed-interval) of workflow instances; pass one as the workload of an
+:class:`~repro.experiments.runner.ExperimentSpec` to run the stream on
+one stack under any registered policy.
 """
 
 from __future__ import annotations

@@ -106,8 +106,7 @@ class MasterStats:
 class DispatchConfig:
     """The state-machine knobs of one :class:`DispatchCore`, grouped in
     a value object so shard masters can be stamped out of the same
-    configuration (and so the legacy flat-keyword :class:`Master`
-    constructor has one canonical home to assemble into)."""
+    configuration."""
 
     max_retries: int = 5
     #: Optional task-level fault injection (see :mod:`repro.wq.faults`).

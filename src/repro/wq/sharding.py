@@ -407,16 +407,6 @@ class Foreman:
         return all(s.crashed for s in self.shards)
 
     @property
-    def crashed(self) -> bool:
-        """Documented alias for the *conservative* reading,
-        :attr:`any_crashed`: callers that treat "crashed" as "stop
-        trusting the books" (the single-master contract) must keep doing
-        so while any partition of the queue is dark. Code that needs the
-        distinction reads :attr:`any_crashed` / :attr:`all_crashed`
-        explicitly."""
-        return self.any_crashed
-
-    @property
     def all_done(self) -> bool:
         """Every live shard drained. Retired shards (dead, failed over)
         are skipped: their recoverable work was re-homed onto survivors,

@@ -6,11 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.continuous import (
-    run_continuous_predictive,
-    run_continuous_queue_scaler,
-)
-from repro.experiments.runner import StackConfig, run_predictive_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.forecast.scaler import PredictiveScalerConfig
 from repro.makeflow.dag import WorkflowGraph
 from repro.workloads.arrivals import periodic_arrivals
@@ -40,9 +36,12 @@ def small_stream(n_bursts=2, tasks=6):
 
 class TestRunPredictiveExperiment:
     def test_completes_a_workload(self):
-        r = run_predictive_experiment(
-            uniform_bag(18, execute_s=40.0, declared=True),
-            stack_config=stack(),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(18, execute_s=40.0, declared=True),
+                policy="predictive",
+                stack=stack(),
+            )
         )
         assert r.tasks_completed == 18
         assert r.name == "Predictive"
@@ -51,10 +50,17 @@ class TestRunPredictiveExperiment:
         assert r.extras["decisions"] > 0
 
     def test_respects_scaler_config_bounds(self):
-        r = run_predictive_experiment(
-            uniform_bag(12, execute_s=40.0, declared=True),
-            stack_config=stack(),
-            scaler_config=PredictiveScalerConfig(min_workers=2, max_workers=3),
+        r = run_experiment(
+            ExperimentSpec(
+                uniform_bag(12, execute_s=40.0, declared=True),
+                policy="predictive",
+                stack=stack(),
+                options={
+                    "scaler_config": PredictiveScalerConfig(
+                        min_workers=2, max_workers=3
+                    ),
+                },
+            )
         )
         assert r.tasks_completed == 12
         t0, t1 = r.accountant.window()
@@ -62,9 +68,12 @@ class TestRunPredictiveExperiment:
 
     def test_deterministic_replay(self):
         def once():
-            r = run_predictive_experiment(
-                uniform_bag(12, execute_s=40.0, declared=True),
-                stack_config=stack(seed=4),
+            r = run_experiment(
+                ExperimentSpec(
+                    uniform_bag(12, execute_s=40.0, declared=True),
+                    policy="predictive",
+                    stack=stack(seed=4),
+                )
             )
             return (
                 r.makespan_s,
@@ -77,17 +86,24 @@ class TestRunPredictiveExperiment:
 
 class TestContinuousRunners:
     def test_predictive_stream_completes(self):
-        r = run_continuous_predictive(small_stream(), stack_config=stack())
-        assert r.workflows == 2
-        assert r.result.tasks_completed == 12
-        assert r.last_finish_s > 0
-
-    def test_queue_scaler_stream_completes(self):
-        r = run_continuous_queue_scaler(
-            small_stream(), stack_config=stack(), tasks_per_replica=3.0
+        r = run_experiment(
+            ExperimentSpec(small_stream(), policy="predictive", stack=stack())
         )
         assert r.workflows == 2
-        assert r.result.tasks_completed == 12
+        assert r.tasks_completed == 12
+        assert r.makespan_s > 0
+
+    def test_queue_scaler_stream_completes(self):
+        r = run_experiment(
+            ExperimentSpec(
+                small_stream(),
+                policy="queue",
+                stack=stack(),
+                options={"tasks_per_replica": 3.0},
+            )
+        )
+        assert r.workflows == 2
+        assert r.tasks_completed == 12
 
 
 class TestForecastCmpHarness:
@@ -103,19 +119,16 @@ class TestForecastCmpHarness:
         # report() only formats; build it from a cheap two-policy run.
         from repro.experiments import forecast_cmp
 
+        def run(name, policy):
+            return run_experiment(
+                ExperimentSpec(small_stream(), policy=policy, name=name, stack=stack())
+            )
+
         results = {
-            "HTA": run_continuous_predictive(
-                small_stream(), stack_config=stack(), name="HTA"
-            ),
-            "HTA-hybrid": run_continuous_predictive(
-                small_stream(), stack_config=stack(), name="HTA-hybrid"
-            ),
-            "Predictive": run_continuous_predictive(
-                small_stream(), stack_config=stack(), name="Predictive"
-            ),
-            "KEDA-queue": run_continuous_queue_scaler(
-                small_stream(), stack_config=stack(), name="KEDA-queue"
-            ),
+            "HTA": run("HTA", "predictive"),
+            "HTA-hybrid": run("HTA-hybrid", "predictive"),
+            "Predictive": run("Predictive", "predictive"),
+            "KEDA-queue": run("KEDA-queue", "queue"),
         }
         out = forecast_cmp.report(results)
         assert "Forecast comparison" in out

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.node import N1_STANDARD_4_RESERVED
-from repro.experiments.runner import StackConfig, run_hpa_experiment, run_hta_experiment
+from repro.experiments.runner import ExperimentSpec, StackConfig, run_experiment
 from repro.workloads.synthetic import staged_pipeline, uniform_bag
 
 
@@ -35,29 +35,51 @@ def fingerprint(result):
 
 class TestReplay:
     def test_hta_replays_bit_identically(self):
-        a = run_hta_experiment(uniform_bag(15, execute_s=40.0, declared=False), stack_config=stack(7))
-        b = run_hta_experiment(uniform_bag(15, execute_s=40.0, declared=False), stack_config=stack(7))
+        a = run_experiment(
+            ExperimentSpec(
+                uniform_bag(15, execute_s=40.0, declared=False),
+                policy="hta",
+                stack=stack(7),
+            )
+        )
+        b = run_experiment(
+            ExperimentSpec(
+                uniform_bag(15, execute_s=40.0, declared=False),
+                policy="hta",
+                stack=stack(7),
+            )
+        )
         assert fingerprint(a) == fingerprint(b)
 
     def test_hpa_replays_bit_identically(self):
-        a = run_hpa_experiment(
-            uniform_bag(15, execute_s=40.0, declared=True), target_cpu=0.2, stack_config=stack(7)
+        a = run_experiment(
+            ExperimentSpec(
+                uniform_bag(15, execute_s=40.0, declared=True),
+                policy="hpa",
+                stack=stack(7),
+                options={"target_cpu": 0.2},
+            )
         )
-        b = run_hpa_experiment(
-            uniform_bag(15, execute_s=40.0, declared=True), target_cpu=0.2, stack_config=stack(7)
+        b = run_experiment(
+            ExperimentSpec(
+                uniform_bag(15, execute_s=40.0, declared=True),
+                policy="hpa",
+                stack=stack(7),
+                options={"target_cpu": 0.2},
+            )
         )
         assert fingerprint(a) == fingerprint(b)
 
     def test_dag_replays_bit_identically(self):
         wl = lambda: staged_pipeline([8, 2, 8], execute_s=30.0, declared=True)
-        a = run_hta_experiment(wl(), stack_config=stack(3))
-        b = run_hta_experiment(wl(), stack_config=stack(3))
+        a = run_experiment(ExperimentSpec(wl(), policy="hta", stack=stack(3)))
+        b = run_experiment(ExperimentSpec(wl(), policy="hta", stack=stack(3)))
         assert fingerprint(a) == fingerprint(b)
 
     def test_series_replay_identical(self):
         wl = lambda: uniform_bag(10, execute_s=30.0, declared=True)
-        a = run_hta_experiment(wl(), stack_config=stack(5))
-        b = run_hta_experiment(wl(), stack_config=stack(5))
+        a = run_experiment(ExperimentSpec(wl(), policy="hta", stack=stack(5)))
+        b = run_experiment(ExperimentSpec(wl(), policy="hta", stack=stack(5)))
         sa, sb = a.series("supply"), b.series("supply")
         assert sa.times == sb.times
         assert sa.values == sb.values
@@ -68,9 +90,12 @@ class TestSeedSensitivity:
         """Node-provisioning jitter must actually vary with the seed."""
         results = {
             fingerprint(
-                run_hta_experiment(
-                    uniform_bag(30, execute_s=40.0, declared=True),
-                    stack_config=stack(seed),
+                run_experiment(
+                    ExperimentSpec(
+                        uniform_bag(30, execute_s=40.0, declared=True),
+                        policy="hta",
+                        stack=stack(seed),
+                    )
                 )
             )
             for seed in (1, 2, 3)

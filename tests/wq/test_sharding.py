@@ -225,7 +225,7 @@ class TestDegradedMode:
         engine.run(until=10.0)
         b.crash()
         assert foreman.available  # one live shard keeps the plane up
-        assert foreman.degraded and foreman.crashed
+        assert foreman.degraded and foreman.any_crashed
         # The aggregated view now equals the live shard's ground truth —
         # the operator sizes from what is actually reachable.
         assert foreman.stats() == a.stats()
@@ -250,27 +250,22 @@ class TestDegradedMode:
 
     def test_any_all_crashed_split_and_conservative_alias(self, engine):
         """The PR 10 split: ``any_crashed`` (degraded, some partition
-        dark) vs ``all_crashed`` (logical master gone), with ``crashed``
-        pinned as the documented alias for the conservative reading —
-        single-master callers that gate on "crashed" must keep gating
-        while *any* shard is dark."""
+        dark) vs ``all_crashed`` (logical master gone). ``any_crashed``
+        is the conservative reading: single-master callers that gate on
+        "crashed" must keep gating while *any* shard is dark."""
         foreman, (a, b) = make_foreman(engine, 2)
         assert not foreman.any_crashed
         assert not foreman.all_crashed
-        assert not foreman.crashed
         a.crash()
         assert foreman.any_crashed
         assert not foreman.all_crashed
-        assert foreman.crashed  # alias follows the conservative reading
         b.crash()
         assert foreman.any_crashed and foreman.all_crashed
-        assert foreman.crashed
         a.recover()
         assert foreman.any_crashed  # b is still down
         assert not foreman.all_crashed
-        assert foreman.crashed
         b.recover()
-        assert not foreman.any_crashed and not foreman.crashed
+        assert not foreman.any_crashed
 
 
 def make_coordinator(engine, foreman, grace_s=10.0):
