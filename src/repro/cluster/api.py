@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 from repro.cluster.node import Node
 from repro.cluster.objects import KubeObject, Service, StatefulSet
-from repro.cluster.pod import Pod, PodPhase, REASON_KILLED
+from repro.cluster.pod import Pod, PodPhase, REASON_FAILED_SCHEDULING, REASON_KILLED
 from repro.sim.engine import Engine
 from repro.telemetry.events import NULL_TRACER, Tracer
 from repro.telemetry.metrics import MetricsRegistry
@@ -41,6 +42,121 @@ class WatchEvent:
 
 
 WatchHandler = Callable[[WatchEvent], None]
+
+
+def _creation_key(obj: KubeObject) -> Tuple[float, str]:
+    """``list()`` order: immutable once stored, and unique per kind."""
+    return (obj.meta.creation_time, obj.name)
+
+
+def is_pending(pod: Pod) -> bool:
+    """Waiting for the scheduler: ``PENDING`` and not yet bound."""
+    return pod.phase is PodPhase.PENDING and pod.node is None
+
+
+def _remove_sorted(items: List, obj: KubeObject) -> None:
+    """Drop ``obj`` from a list sorted by :func:`_creation_key`."""
+    del items[bisect_left(items, _creation_key(obj), key=_creation_key)]
+
+
+class NodeFreeIndex:
+    """Stored nodes ordered by ``(free cores, name)`` — exactly the key
+    the scheduler scores on, so the best-scoring candidate is found by a
+    bisect and a short walk instead of a scan of every node.
+
+    Exact by construction: a node enters on create and leaves on delete,
+    and its key only changes when :meth:`Node.requested` does, which
+    always passes through ``bind``/``unbind``/``invalidate_requested``;
+    each re-keys the node here. Schedulability (ready, cordoned,
+    deleted) is not part of the key: those are plain attributes callers
+    flip without a write, so readers re-check them with ``can_fit``.
+    """
+
+    __slots__ = ("entries", "_by_name", "_store")
+
+    def __init__(self, store: Dict[str, KubeObject]) -> None:
+        #: ``(free cores, name, node)`` ascending; names are unique, so
+        #: comparisons never reach the node.
+        self.entries: List[Tuple[float, str, Node]] = []
+        self._by_name: Dict[str, Tuple[float, str, Node]] = {}
+        self._store = store
+
+    def reconcile(self, node: Node) -> None:
+        name = node.name
+        old = self._by_name.get(name)
+        new = (
+            (node.free().cores, name, node)
+            if self._store.get(name) is node
+            else None
+        )
+        if new == old:
+            return
+        entries = self.entries
+        if old is not None:
+            del entries[bisect_left(entries, old)]
+            del self._by_name[name]
+        if new is not None:
+            insort(entries, new)
+            self._by_name[name] = new
+
+
+class PendingPodIndex:
+    """Pending pods (``PENDING``, unbound, stored) in ``list()`` order,
+    with the multiset of their placement signatures and the ordered
+    subset not yet carrying a ``FailedScheduling`` event.
+
+    Reconciled on every pod create, status write and delete. A pod never
+    returns to pending once it leaves (phase and binding only move
+    forward), so a pod that leaves without a write merely lingers until
+    its next write: the index is a superset of the live pending set and
+    readers filter it with :func:`is_pending`.
+    """
+
+    __slots__ = ("order", "sigs", "unrecorded", "_names", "_unrecorded_names")
+
+    def __init__(self) -> None:
+        self.order: List[Pod] = []
+        #: placement signature -> number of pods in ``order`` carrying it.
+        self.sigs: Dict[Tuple, int] = {}
+        self.unrecorded: List[Pod] = []
+        # Names are unique among stored pods, and only stored pods (or
+        # the one being deleted) are reconciled.
+        self._names: Set[str] = set()
+        self._unrecorded_names: Set[str] = set()
+
+    def reconcile(self, pod: Pod, stored: bool) -> None:
+        name = pod.name
+        member = name in self._names
+        pending = stored and is_pending(pod)
+        if pending and not member:
+            insort(self.order, pod, key=_creation_key)
+            sig = pod.spec.placement_sig
+            self.sigs[sig] = self.sigs.get(sig, 0) + 1
+            self._names.add(name)
+        elif member and not pending:
+            _remove_sorted(self.order, pod)
+            sig = pod.spec.placement_sig
+            n = self.sigs[sig] - 1
+            if n:
+                self.sigs[sig] = n
+            else:
+                del self.sigs[sig]
+            self._names.remove(name)
+        unrecorded = pending and not (
+            pod.events and pod.events[-1].reason == REASON_FAILED_SCHEDULING
+        )
+        if unrecorded != (name in self._unrecorded_names):
+            if unrecorded:
+                insort(self.unrecorded, pod, key=_creation_key)
+                self._unrecorded_names.add(name)
+            else:
+                _remove_sorted(self.unrecorded, pod)
+                self._unrecorded_names.discard(name)
+
+    def unrecorded_after(self, pod: Pod) -> List[Pod]:
+        """Unrecorded pods ordered after ``pod`` (a snapshot)."""
+        i = bisect_right(self.unrecorded, _creation_key(pod), key=_creation_key)
+        return self.unrecorded[i:]
 
 
 class ConflictError(RuntimeError):
@@ -90,8 +206,12 @@ class KubeApiServer:
         self._stores: Dict[str, Dict[str, KubeObject]] = {k: {} for k in self.KINDS}
         # Memoized unfiltered list() result per kind. The sort key
         # (creation_time, name) is immutable per object, so the order can
-        # only change when membership does — create/delete drop the entry.
+        # only change when membership does — create inserts into and
+        # delete removes from a built entry by bisection.
         self._sorted_cache: Dict[str, List[KubeObject]] = {}
+        #: The scheduler's two indexes, kept exact by every write below.
+        self.node_index = NodeFreeIndex(self._stores["Node"])
+        self.pending_index = PendingPodIndex()
         #: :meth:`ready_nodes` at the Node version head it was folded at
         #: (a node's ready/deleted flags only change with a Node write).
         self._ready_nodes: Tuple[int, List[Node]] = (-1, [])
@@ -144,7 +264,14 @@ class KubeApiServer:
             raise ConflictError(f"{obj.kind} {obj.name!r} already exists")
         obj.meta.creation_time = self.engine.now
         store[obj.name] = obj
-        self._sorted_cache.pop(obj.kind, None)
+        cached = self._sorted_cache.get(obj.kind)
+        if cached is not None:
+            insort(cached, obj, key=_creation_key)
+        if isinstance(obj, Pod):
+            self.pending_index.reconcile(obj, True)
+        elif isinstance(obj, Node):
+            obj.free_index = self.node_index
+            self.node_index.reconcile(obj)
         self.writes += 1
         self._notify(WatchEventType.ADDED, obj)
         return obj
@@ -162,10 +289,7 @@ class KubeApiServer:
     def list(self, kind: str, selector: Optional[Dict[str, str]] = None) -> List[KubeObject]:
         cached = self._sorted_cache.get(kind)
         if cached is None:
-            cached = sorted(
-                self._store(kind).values(),
-                key=lambda o: (o.meta.creation_time, o.name),
-            )
+            cached = sorted(self._store(kind).values(), key=_creation_key)
             self._sorted_cache[kind] = cached
         if selector:
             # The sort key is unique per kind (names are), so filtering
@@ -182,6 +306,8 @@ class KubeApiServer:
         store = self._store(obj.kind)
         if store.get(obj.name) is not obj:
             return  # already deleted; late status updates are dropped
+        if isinstance(obj, Pod):
+            self.pending_index.reconcile(obj, True)
         self.writes += 1
         self._notify(WatchEventType.MODIFIED, obj)
 
@@ -191,10 +317,16 @@ class KubeApiServer:
             obj = store.pop(name)
         except KeyError:
             raise NotFoundError(f"{kind} {name!r} not found") from None
-        self._sorted_cache.pop(kind, None)
+        cached = self._sorted_cache.get(kind)
+        if cached is not None:
+            _remove_sorted(cached, obj)
         self.writes += 1
         if isinstance(obj, Pod):
             self._teardown_pod(obj)
+            self.pending_index.reconcile(obj, False)
+        elif isinstance(obj, Node):
+            self.node_index.reconcile(obj)
+            obj.free_index = None
         self._notify(WatchEventType.DELETED, obj)
         return obj
 
@@ -306,7 +438,7 @@ class KubeApiServer:
             store = self._store("Pod")
             bound = sorted(
                 (p for p in node.pods if store.get(p.name) is p),
-                key=lambda o: (o.meta.creation_time, o.name),
+                key=_creation_key,
             )
             for obj in bound:
                 self.engine.call_soon(
@@ -379,4 +511,5 @@ class KubeApiServer:
         return list(ready)
 
     def pending_pods(self) -> List[Pod]:
-        return [p for p in self.pods() if p.phase is PodPhase.PENDING and p.node is None]
+        # The index may still hold pods that left pending without a write.
+        return [p for p in self.pending_index.order if is_pending(p)]

@@ -9,12 +9,15 @@ kubelet (one per node) handles image caching and container start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.cluster.objects import KubeObject
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.resources import ResourceVector
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.api import NodeFreeIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,13 +30,15 @@ class MachineType:
     nic_bandwidth_mbps: float = 1000.0
     # System/kubelet reservation withheld from pods (GKE reserves a slice).
     system_reserved: ResourceVector = ResourceVector.zero()
+    #: ``capacity - system_reserved``, computed (and validated) once at
+    #: construction: every fit check reads it.
+    allocatable: ResourceVector = field(init=False, repr=False, compare=False)
 
-    @property
-    def allocatable(self) -> ResourceVector:
+    def __post_init__(self) -> None:
         alloc = self.capacity - self.system_reserved
         if not alloc.is_nonnegative():
             raise ValueError(f"machine type {self.name}: reservation exceeds capacity")
-        return alloc
+        object.__setattr__(self, "allocatable", alloc)
 
 
 #: The paper's main evaluation instance: 4 vCPU, 15 GB RAM, 100 GB SSD.
@@ -70,6 +75,7 @@ class Node(KubeObject):
         "machine_type", "preemptible", "preemption_notice_at",
         "preemption_grace_s", "ready", "ready_time", "pods",
         "_requested_cache", "cached_images", "unschedulable", "deleted",
+        "free_index",
     )
 
     kind = "Node"
@@ -112,6 +118,11 @@ class Node(KubeObject):
         self.cached_images: Set[str] = set()
         self.unschedulable = False  # cordoned during drain-for-removal
         self.deleted = False
+        #: The API server's free-capacity index while this node is stored
+        #: (set by create, cleared by delete). Every change to
+        #: :meth:`requested` passes through :meth:`bind`, :meth:`unbind`
+        #: or :meth:`invalidate_requested`, which re-key the node there.
+        self.free_index: Optional["NodeFreeIndex"] = None
 
     # ------------------------------------------------------------- capacity
     @property
@@ -136,6 +147,8 @@ class Node(KubeObject):
     def invalidate_requested(self) -> None:
         """The bound-pod set (or a bound pod's phase) changed."""
         self._requested_cache = None
+        if self.free_index is not None:
+            self.free_index.reconcile(self)
 
     def free(self) -> ResourceVector:
         return (self.allocatable - self.requested()).clamp_floor(0.0)
@@ -153,14 +166,14 @@ class Node(KubeObject):
         if pod in self.pods:
             raise RuntimeError(f"pod {pod.name} already bound to {self.name}")
         self.pods.append(pod)
-        self._requested_cache = None
+        self.invalidate_requested()
 
     def unbind(self, pod: Pod) -> None:
         try:
             self.pods.remove(pod)
         except ValueError:
             pass
-        self._requested_cache = None
+        self.invalidate_requested()
 
     def active_pods(self) -> List[Pod]:
         return [p for p in self.pods if not p.phase.terminal]

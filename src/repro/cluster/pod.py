@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.images import ContainerImage
 from repro.cluster.objects import KubeObject
@@ -78,10 +78,20 @@ class PodSpec:
     #: labels include every listed pair (how spot-targeted worker pods
     #: are steered onto the preemptible pool, and on-demand pods off it).
     node_selector: Dict[str, str] = field(default_factory=dict)
+    #: ``(request, sorted selector items or None)``: the inputs that
+    #: decide where a pod can be bound. Pods sharing it are
+    #: interchangeable to one scheduling pass. Computed once per spec.
+    placement_sig: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.request.is_nonnegative():
             raise ValueError(f"pod request must be non-negative, got {self.request}")
+        selector = self.node_selector
+        object.__setattr__(
+            self,
+            "placement_sig",
+            (self.request, tuple(sorted(selector.items())) if selector else None),
+        )
 
 
 class Pod(KubeObject):

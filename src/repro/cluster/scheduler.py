@@ -5,28 +5,42 @@ added or a node becomes ready, so small experiments aren't dominated by
 sync latency). Pods that fit nowhere get a ``FailedScheduling`` event with
 an *Insufficient Resource* message — the fig-9 "No Available Node" state
 that both the cloud controller and HTA's init-time tracker key off.
+
+A pass reads two indexes the API server keeps exact on every write
+(:class:`~repro.cluster.api.PendingPodIndex` and
+:class:`~repro.cluster.api.NodeFreeIndex`), so it costs O(binds + new
+pods + log nodes) rather than O(pending pods x nodes), with the same
+choices, bindings and events as a full scan.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from bisect import bisect_left
+from typing import Optional
 
-from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType
+from repro.cluster.api import KubeApiServer, WatchEvent, WatchEventType, is_pending
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod, PodPhase, REASON_FAILED_SCHEDULING
 from repro.sim.engine import Engine, PeriodicTask
 from repro.telemetry.events import NULL_TRACER, Tracer
 
+#: Slack below a request's cores at which the free-cores walk stops;
+#: wider than ``fits_in``'s 1e-9 epsilon so rounding never cuts off a
+#: node that fits.
+_CORES_MARGIN = 1e-6
+
 
 class KubeScheduler:
-    """First-fit / spread scheduler over ready nodes.
+    """Indexed scheduler: walks pending pods in creation order and scores
+    only the nodes near the front of the free-capacity index.
 
     ``strategy`` selects the node-scoring policy among candidates that fit:
 
     * ``"least-requested"`` (default, mirrors kube-scheduler's spreading):
-      pick the node with the most free CPU;
-    * ``"binpack"``: pick the node with the least free CPU (used by the
-      ablation benchmarks to show HTA is policy-agnostic).
+      pick the node with the most free CPU (ties: the largest name);
+    * ``"binpack"``: pick the node with the least free CPU (ties: the
+      smallest name; used by the ablation benchmarks to show HTA is
+      policy-agnostic).
     """
 
     def __init__(
@@ -77,49 +91,54 @@ class KubeScheduler:
         if state == self._synced_state:
             return 0  # nothing changed since the last pass; see __init__
         bound = 0
-        pending = self.api.pending_pods()
-        if not pending:
-            self._synced_state = state
-            return 0
-        # One relist per pass: binding mutates node *state*, never the
-        # node set, and can_fit re-checks ready/cordoned/deleted per pod,
-        # so the per-pod relist the loop used to do was pure overhead.
-        nodes = self.api.nodes()
-        # Within a pass capacity only shrinks, so once a request (plus
-        # node-selector) finds no seat, every identical pending pod after
-        # it fails too — skip their node scans, but still record the
-        # FailedScheduling event per pod exactly as before.
+        pending = self.api.pending_index
+        order = pending.order
+        # Within a pass capacity only shrinks, so once a placement
+        # signature finds no seat every later pod carrying it fails too.
+        # Once every signature still pending has failed, the rest of the
+        # pass can only record FailedScheduling for pods that lack it —
+        # the index's ``unrecorded`` subset — so the walk stops there.
         unplaceable: set = set()
-        for pod in pending:
-            selector = pod.spec.node_selector
-            sig = (
-                pod.spec.request,
-                tuple(sorted(selector.items())) if selector else None,
-            )
+        stopped_at: Optional[Pod] = None
+        i = 0
+        while i < len(order):
+            pod = order[i]
+            if not is_pending(pod):
+                i += 1  # left pending without a write; see PendingPodIndex
+                continue
+            sig = pod.spec.placement_sig
             if sig in unplaceable:
                 # Inline _record_unschedulable's common early-exit (the
-                # episode is already recorded) — at depth this branch runs
-                # once per pending pod per pass.
+                # episode is already recorded).
                 if not (
                     pod.events
                     and pod.events[-1].reason == REASON_FAILED_SCHEDULING
                 ):
                     self._record_unschedulable(pod)
+                i += 1
                 continue
-            node = self._select_node(pod, nodes)
+            node = self._select_node(pod)
             if node is None:
                 unplaceable.add(sig)
                 self._record_unschedulable(pod)
+                if len(unplaceable) == len(pending.sigs):
+                    stopped_at = pod
+                    break
+                i += 1
                 continue
             pod.mark_scheduled(self.engine.now, node)
             node.bind(pod)
-            self.api.mark_modified(pod)
+            self.api.mark_modified(pod)  # drops the pod from ``order``
             self.binds += 1
             bound += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "cluster", "scheduler.bind", pod=pod.name, node=node.name
                 )
+        if stopped_at is not None:
+            for pod in pending.unrecorded_after(stopped_at):
+                if is_pending(pod):
+                    self._record_unschedulable(pod)
         # Recompute: the pass itself bumps versions (binds, events).
         self._synced_state = (
             self.api.kind_version("Pod"),
@@ -135,19 +154,26 @@ class KubeScheduler:
         labels = node.meta.labels
         return all(labels.get(k) == v for k, v in selector.items())
 
-    def _select_node(self, pod: Pod, nodes: Optional[List[Node]] = None) -> Optional[Node]:
-        if nodes is None:
-            nodes = self.api.ready_nodes()
-        candidates: List[Node] = [
-            n
-            for n in nodes
-            if self._selector_matches(pod, n) and n.can_fit(pod.spec.request)
-        ]
-        if not candidates:
-            return None
+    def _select_node(self, pod: Pod) -> Optional[Node]:
+        """The best-scoring node that fits ``pod``: the first fit walking
+        the ``(free cores, name)`` index from the top (least-requested) or
+        upward from the request (binpack) — the max/min a full scan of
+        the fitting nodes would pick."""
+        request = pod.spec.request
+        floor = request.cores - _CORES_MARGIN
+        entries = self.api.node_index.entries
         if self.strategy == "least-requested":
-            return max(candidates, key=lambda n: (n.free().cores, n.name))
-        return min(candidates, key=lambda n: (n.free().cores, n.name))
+            for cores, _, node in reversed(entries):
+                if cores < floor:
+                    return None
+                if self._selector_matches(pod, node) and node.can_fit(request):
+                    return node
+            return None
+        for i in range(bisect_left(entries, (floor,)), len(entries)):
+            node = entries[i][2]
+            if self._selector_matches(pod, node) and node.can_fit(request):
+                return node
+        return None
 
     def _record_unschedulable(self, pod: Pod) -> None:
         if pod.phase is not PodPhase.PENDING:

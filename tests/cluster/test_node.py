@@ -34,13 +34,13 @@ class TestMachineTypes:
         assert GKE_SMALL_3CPU.capacity.cores == 3
 
     def test_over_reservation_rejected(self):
-        bad = MachineType(
-            "bad",
-            capacity=ResourceVector(1, 100, 100),
-            system_reserved=ResourceVector(2, 0, 0),
-        )
+        # Rejected at construction, before any node can be built on it.
         with pytest.raises(ValueError):
-            _ = bad.allocatable
+            MachineType(
+                "bad",
+                capacity=ResourceVector(1, 100, 100),
+                system_reserved=ResourceVector(2, 0, 0),
+            )
 
 
 class TestNodeCapacity:
