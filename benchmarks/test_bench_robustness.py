@@ -86,7 +86,7 @@ def _run_chaotic(cfg, workload, interval_s):
         stack,
         workflows,
         accountant,
-        nodes_killed=float(chaos.nodes_killed),
+        nodes_killed=float(chaos.counts.nodes_killed),
     )
     return result
 

@@ -167,6 +167,15 @@ class NotFoundError(KeyError):
     """Get/delete of an object that does not exist."""
 
 
+@dataclass(slots=True)
+class ApiCounts:
+    """Event counts of one :class:`KubeApiServer`, exported through its
+    registry as ``api_<field>_total``."""
+
+    #: Outage windows begun (a begin while already down is not counted).
+    outages: int = 0
+
+
 class KubeApiServer:
     """Stores objects by kind and name; fans out watch events.
 
@@ -193,15 +202,14 @@ class KubeApiServer:
         self.engine = engine
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Registry home for the server's fault counters; a private one
-        #: is created when no shared registry is supplied so the
-        #: attribute API below works unconditionally.
+        #: is created when no shared registry is supplied so
+        #: :attr:`dropped_events` works unconditionally.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.counts = ApiCounts()
+        self.metrics.register_block("api", self.counts)
         self._c_dropped = self.metrics.counter(
             "api_dropped_watch_events_total",
             "watch events lost to outages or injected stream drops",
-        )
-        self._c_outages = self.metrics.counter(
-            "api_outages_total", "injected API-server outage windows"
         )
         self._stores: Dict[str, Dict[str, KubeObject]] = {k: {} for k in self.KINDS}
         # Memoized unfiltered list() result per kind. The sort key
@@ -241,14 +249,9 @@ class KubeApiServer:
         #: Kinds whose watch streams are currently silently broken.
         self._drop_kinds: Set[str] = set()
 
-    # Fault counters live in the metrics registry; these properties keep
-    # the historical attribute API (``api.dropped_events``) intact.
-    @property
-    def api_outages(self) -> int:
-        return int(self._c_outages.total)
-
     @property
     def dropped_events(self) -> int:
+        """Watch events lost, summed over kinds."""
         return int(self._c_dropped.total)
 
     # ---------------------------------------------------------------- CRUD
@@ -358,7 +361,7 @@ class KubeApiServer:
         if not self.available:
             return
         self.available = False
-        self._c_outages.inc()
+        self.counts.outages += 1
         self.tracer.emit("cluster", "api.outage.begin", "fault")
 
     def end_outage(self) -> None:

@@ -15,6 +15,7 @@ replay deterministically.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.cluster.api import KubeApiServer
@@ -29,6 +30,34 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cloud import CloudController
     from repro.cluster.images import ImageRegistry
     from repro.wq.master import Master
+
+
+@dataclass(slots=True)
+class ChaosCounts:
+    """Fault injections fired by one :class:`ChaosInjector`, one field
+    per primitive; a registry passed to the injector exports each as
+    ``chaos_<field>_total``."""
+
+    nodes_killed: int = 0
+    #: Pods lost to evictions and to node kills (every co-located pod).
+    pods_killed: int = 0
+    boot_failure_windows: int = 0
+    pull_stall_windows: int = 0
+    master_crashes: int = 0
+    api_outage_windows: int = 0
+    watch_drop_windows: int = 0
+    #: Spot-node reclamations fired (distinct from ``pods_killed`` — a
+    #: preemption is a provider reclaim with a grace notice).
+    preemptions: int = 0
+    partition_windows: int = 0
+    #: Checkpoint/restore drains fired against live workers.
+    migrations_injected: int = 0
+    #: Silent result corruptions planted on running attempts.
+    corruptions_injected: int = 0
+    #: Workers turned into black holes (fast-fail / fast-fake).
+    black_holes_injected: int = 0
+    #: Single dispatch shards killed behind a foreman.
+    shard_crashes: int = 0
 
 
 class ChaosInjector:
@@ -53,72 +82,10 @@ class ChaosInjector:
         #: needs them raises if they were not provided.
         self.cloud = cloud
         self.registry = registry
-        #: Injection counters live in a metrics registry (shared with the
-        #: run when one is passed); the properties below preserve the
-        #: historical ``chaos.pods_killed``-style attribute API.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._c_injections = self.metrics.counter(
-            "chaos_injections_total", "fault injections by kind"
-        )
+        self.counts = ChaosCounts()
+        if metrics is not None:
+            metrics.register_block("chaos", self.counts)
         self._schedules: List[PeriodicTask] = []
-
-    @property
-    def nodes_killed(self) -> int:
-        return int(self._c_injections.value(kind="node_kill"))
-
-    @property
-    def pods_killed(self) -> int:
-        return int(self._c_injections.value(kind="pod_evict"))
-
-    @property
-    def boot_failure_windows(self) -> int:
-        return int(self._c_injections.value(kind="boot_failures"))
-
-    @property
-    def pull_stall_windows(self) -> int:
-        return int(self._c_injections.value(kind="pull_stall"))
-
-    @property
-    def master_crashes(self) -> int:
-        return int(self._c_injections.value(kind="master_crash"))
-
-    @property
-    def api_outage_windows(self) -> int:
-        return int(self._c_injections.value(kind="api_outage"))
-
-    @property
-    def watch_drop_windows(self) -> int:
-        return int(self._c_injections.value(kind="watch_drop"))
-
-    @property
-    def preemptions_total(self) -> int:
-        """Spot-node reclamations fired (distinct from ``pod_evict`` —
-        a preemption is a provider reclaim with a grace notice)."""
-        return int(self._c_injections.value(kind="preemption"))
-
-    @property
-    def partition_windows(self) -> int:
-        return int(self._c_injections.value(kind="partition"))
-
-    @property
-    def migrations_injected(self) -> int:
-        """Checkpoint/restore drains fired against live workers."""
-        return int(self._c_injections.value(kind="migrate"))
-
-    @property
-    def corruptions_injected(self) -> int:
-        """Silent result corruptions planted on running attempts."""
-        return int(self._c_injections.value(kind="corrupt"))
-
-    @property
-    def black_holes_injected(self) -> int:
-        """Workers turned into black holes (fast-fail / fast-fake)."""
-        return int(self._c_injections.value(kind="black_hole"))
-
-    @property
-    def shard_crashes(self) -> int:
-        """Single dispatch shards killed behind a foreman."""
-        return int(self._c_injections.value(kind="shard_crash"))
 
     # ------------------------------------------------------------- directed
     def kill_node(self, node: Node) -> List[Pod]:
@@ -129,9 +96,8 @@ class ChaosInjector:
         for pod in victims:
             self.api.try_delete("Pod", pod.name)
         self.api.try_delete("Node", node.name)
-        self._c_injections.inc(kind="node_kill")
-        if victims:
-            self._c_injections.inc(len(victims), kind="pod_evict")
+        self.counts.nodes_killed += 1
+        self.counts.pods_killed += len(victims)
         self.tracer.emit(
             "cluster", "chaos.node_kill", "chaos",
             node=node.name, pods_lost=len(victims),
@@ -156,7 +122,7 @@ class ChaosInjector:
     def evict_pod(self, pod: Pod) -> None:
         """Delete one pod (voluntary disruption / preemption)."""
         self.api.try_delete("Pod", pod.name)
-        self._c_injections.inc(kind="pod_evict")
+        self.counts.pods_killed += 1
         self.tracer.emit("cluster", "chaos.pod_evict", "chaos", pod=pod.name)
 
     def evict_random_pod(self, selector: Optional[dict] = None) -> Optional[Pod]:
@@ -176,7 +142,7 @@ class ChaosInjector:
             raise RuntimeError("ChaosInjector needs a cloud= handle for preemptions")
         if not self.cloud.begin_preemption(node):
             return False
-        self._c_injections.inc(kind="preemption")
+        self.counts.preemptions += 1
         self.tracer.emit("cluster", "chaos.preemption", "chaos", node=node.name)
         return True
 
@@ -220,7 +186,7 @@ class ChaosInjector:
         idx = int(self.rng.stream("chaos.migrate").integers(0, len(candidates)))
         worker = candidates[idx]
         started = coordinator.drain_worker(worker, reason="chaos")
-        self._c_injections.inc(kind="migrate")
+        self.counts.migrations_injected += 1
         self.tracer.emit(
             "cluster", "chaos.migrate", "chaos",
             worker=worker.name, migrations=started,
@@ -242,7 +208,7 @@ class ChaosInjector:
         idx = int(self.rng.stream("chaos.corrupt").integers(0, len(candidates)))
         task = candidates[idx]
         task.payload_corrupt = True
-        self._c_injections.inc(kind="corrupt")
+        self.counts.corruptions_injected += 1
         self.tracer.emit(
             "cluster", "chaos.corrupt", "chaos",
             task_id=task.id, task_category=task.category,
@@ -270,7 +236,7 @@ class ChaosInjector:
         idx = int(self.rng.stream("chaos.blackhole").integers(0, len(candidates)))
         worker = candidates[idx]
         worker.black_hole = profile
-        self._c_injections.inc(kind="black_hole")
+        self.counts.black_holes_injected += 1
         self.tracer.emit(
             "cluster", "chaos.black_hole", "chaos",
             worker=worker.name, mode=profile.mode,
@@ -303,7 +269,7 @@ class ChaosInjector:
         worker keeps executing (holding finished results); the master
         starts its liveness clock. With ``duration_s`` the link heals
         itself — the worker then rejoins at its next reconnect poll."""
-        self._c_injections.inc(kind="partition")
+        self.counts.partition_windows += 1
         self.tracer.emit(
             "cluster", "chaos.partition", "chaos",
             worker=worker.name, duration_s=duration_s,
@@ -402,7 +368,7 @@ class ChaosInjector:
         """Kill the Work Queue master process mid-run; its replacement
         pod comes up ``restart_delay_s`` later and recovers (from the
         journal, or cold — the master's ``replay_journal`` decides)."""
-        self._c_injections.inc(kind="master_crash")
+        self.counts.master_crashes += 1
         self.tracer.emit(
             "cluster", "chaos.master_crash", "chaos",
             restart_delay_s=restart_delay_s,
@@ -424,7 +390,7 @@ class ChaosInjector:
         transient case the failover grace must tolerate); without it
         the shard is permanently lost and only the failover coordinator
         can un-strand its work."""
-        self._c_injections.inc(kind="shard_crash")
+        self.counts.shard_crashes += 1
         self.tracer.emit(
             "cluster", "chaos.shard_crash", "chaos",
             shard=i, restart_delay_s=restart_delay_s,
@@ -451,7 +417,7 @@ class ChaosInjector:
         """Take the API server's notification plane down; with
         ``duration_s`` the outage ends itself."""
         self.api.begin_outage()
-        self._c_injections.inc(kind="api_outage")
+        self.counts.api_outage_windows += 1
         if duration_s is not None:
             self.engine.call_in(duration_s, self.end_api_outage)
 
@@ -469,7 +435,7 @@ class ChaosInjector:
         """Silently break one kind's watch streams (events vanish, no
         error — the informer only notices via staleness/resync)."""
         self.api.begin_watch_drop(kind)
-        self._c_injections.inc(kind="watch_drop")
+        self.counts.watch_drop_windows += 1
         if duration_s is not None:
             self.engine.call_in(duration_s, self.end_watch_drop, kind)
 
@@ -494,7 +460,7 @@ class ChaosInjector:
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"prob must be in [0,1], got {prob}")
         self.cloud.boot_failure_prob = prob
-        self._c_injections.inc(kind="boot_failures")
+        self.counts.boot_failure_windows += 1
         self.tracer.emit(
             "cluster", "chaos.boot_failures.begin", "chaos", prob=prob
         )
@@ -517,7 +483,7 @@ class ChaosInjector:
         if factor < 1.0:
             raise ValueError(f"factor must be >= 1, got {factor}")
         self.registry.stall_factor = factor
-        self._c_injections.inc(kind="pull_stall")
+        self.counts.pull_stall_windows += 1
         self.tracer.emit(
             "cluster", "chaos.pull_stall.begin", "chaos", factor=factor
         )

@@ -225,10 +225,10 @@ def run_shard_loss(
         completed=completed,
         sim_s=engine.now,
         wall_s=wall,
-        failovers=coordinator.failovers if coordinator else 0,
-        tasks_rehomed=coordinator.tasks_rehomed if coordinator else 0,
-        tasks_rebalanced=coordinator.tasks_rebalanced if coordinator else 0,
-        workers_reattached=coordinator.workers_reattached if coordinator else 0,
+        failovers=coordinator.counts.failovers if coordinator else 0,
+        tasks_rehomed=coordinator.counts.tasks_rehomed if coordinator else 0,
+        tasks_rebalanced=coordinator.counts.tasks_rebalanced if coordinator else 0,
+        workers_reattached=coordinator.counts.workers_reattached if coordinator else 0,
         protocol_violations=len(protocol),
         replay_violations=len(replay),
     )

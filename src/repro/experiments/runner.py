@@ -604,35 +604,36 @@ def _collect(
 ) -> ExperimentResult:
     t0, t1 = accountant.window()
     master = stack.master
+    counts = master.counts
     fault_extras: Dict[str, float] = {
         "goodput_core_s": master.goodput_core_s(),
-        "wasted_core_s": master.wasted_core_s,
-        "tasks_failed": float(master.tasks_failed),
-        "tasks_exhausted": float(master.tasks_exhausted),
-        "escalations": float(master.escalations),
-        "tasks_speculated": float(master.tasks_speculated),
-        "speculation_wins": float(master.speculation_wins),
+        "wasted_core_s": counts.wasted_core_s,
+        "tasks_failed": float(counts.tasks_failed),
+        "tasks_exhausted": float(counts.tasks_exhausted),
+        "escalations": float(counts.escalations),
+        "tasks_speculated": float(counts.tasks_speculated),
+        "speculation_wins": float(counts.speculation_wins),
         "tasks_abandoned": float(len(master.abandoned)),
     }
     if stack.chaos is not None:
-        fault_extras["chaos_nodes_killed"] = float(stack.chaos.nodes_killed)
-        fault_extras["chaos_pods_killed"] = float(stack.chaos.pods_killed)
+        fault_extras["chaos_nodes_killed"] = float(stack.chaos.counts.nodes_killed)
+        fault_extras["chaos_pods_killed"] = float(stack.chaos.counts.pods_killed)
         fault_extras["boot_failures"] = float(stack.cluster.cloud.boot_failures)
-        fault_extras["chaos_preemptions"] = float(stack.chaos.preemptions_total)
-        fault_extras["chaos_partitions"] = float(stack.chaos.partition_windows)
+        fault_extras["chaos_preemptions"] = float(stack.chaos.counts.preemptions)
+        fault_extras["chaos_partitions"] = float(stack.chaos.counts.partition_windows)
         fault_extras["preemptions"] = float(stack.cluster.cloud.preemptions)
         fault_extras["spot_stockouts"] = float(stack.cluster.cloud.spot_stockouts)
-        fault_extras["partitions_detected"] = float(master.partitions_detected)
+        fault_extras["partitions_detected"] = float(counts.partitions_detected)
         fault_extras["workers_declared_lost"] = float(
-            master.workers_declared_lost
+            counts.workers_declared_lost
         )
-        fault_extras["tasks_evacuated"] = float(master.tasks_evacuated)
-    if master.crashes > 0 or stack.chaos is not None:
-        fault_extras["master_crashes"] = float(master.crashes)
-        fault_extras["tasks_rerun"] = float(master.tasks_rerun)
-        fault_extras["duplicate_results"] = float(master.duplicate_results)
+        fault_extras["tasks_evacuated"] = float(counts.tasks_evacuated)
+    if counts.crashes > 0 or stack.chaos is not None:
+        fault_extras["master_crashes"] = float(counts.crashes)
+        fault_extras["tasks_rerun"] = float(counts.tasks_rerun)
+        fault_extras["duplicate_results"] = float(counts.duplicate_results)
         fault_extras["journal_records"] = float(len(master.journal))
-        fault_extras["api_outages"] = float(stack.cluster.api.api_outages)
+        fault_extras["api_outages"] = float(stack.cluster.api.counts.outages)
         fault_extras["dropped_watch_events"] = float(
             stack.cluster.api.dropped_events
         )
@@ -648,27 +649,32 @@ def _collect(
         master.value_faults is not None
         or master.health is not None
         or not master.verify
-        or (stack.chaos is not None and stack.chaos.black_holes_injected > 0)
+        or (stack.chaos is not None and stack.chaos.counts.black_holes_injected > 0)
     )
     if integrity_armed:
-        fault_extras["verify_fails"] = float(master.verify_fails)
+        fault_extras["verify_fails"] = float(counts.verify_fails)
         fault_extras["checkpoint_verify_fails"] = float(
-            master.checkpoint_verify_fails
+            counts.checkpoint_verify_fails
         )
-        fault_extras["corrupted_completes"] = float(master.corrupted_completes)
+        fault_extras["corrupted_completes"] = float(counts.corrupted_completes)
         fault_extras["clean_goodput_core_s"] = master.clean_goodput_core_s()
-        fault_extras["quarantines"] = float(master.quarantines)
-        fault_extras["unquarantines"] = float(master.unquarantines)
-        fault_extras["tasks_poisoned"] = float(master.tasks_poisoned)
-        fault_extras["quarantined_rejected"] = float(master.quarantined_rejected)
+        fault_extras["quarantines"] = float(counts.quarantines)
+        fault_extras["unquarantines"] = float(counts.unquarantines)
+        fault_extras["tasks_poisoned"] = float(counts.tasks_poisoned)
+        fault_extras["quarantined_rejected"] = float(counts.quarantined_rejected)
         if stack.chaos is not None:
             fault_extras["corruptions_injected"] = float(
-                stack.chaos.corruptions_injected
+                stack.chaos.counts.corruptions_injected
             )
             fault_extras["black_holes_injected"] = float(
-                stack.chaos.black_holes_injected
+                stack.chaos.counts.black_holes_injected
             )
     fault_extras.update(extras)
+    if stack.failover is not None:
+        failover = stack.failover.counts
+        fault_extras["shard_failovers"] = float(failover.failovers)
+        fault_extras["tasks_rehomed"] = float(failover.tasks_rehomed)
+        fault_extras["workers_reattached"] = float(failover.workers_reattached)
     managers = workflows.managers
     return ExperimentResult(
         name=name,
@@ -678,7 +684,7 @@ def _collect(
         recorder=stack.recorder,
         tasks_total=workflows.tasks_total,
         tasks_completed=len(stack.master.done),
-        tasks_requeued=stack.master.tasks_requeued,
+        tasks_requeued=counts.tasks_requeued,
         nodes_peak=int(accountant.series("nodes").maximum(t0, t1)),
         workers_started=stack.runtime.workers_started,
         workflow_makespans=[m.makespan or 0.0 for m in managers],
@@ -964,8 +970,8 @@ def _build_hta(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHarness
             extras["migrations_requested"] = float(responder.migrations_requested)
             extras["migrations_started"] = float(migration.migrations_started)
             extras["migrations_completed"] = float(migration.migrations_completed)
-            extras["migrations_accepted"] = float(stack.master.migrations_accepted)
-            extras["migrations_stale"] = float(stack.master.migrations_stale)
+            extras["migrations_accepted"] = float(stack.master.counts.migrations_accepted)
+            extras["migrations_stale"] = float(stack.master.counts.migrations_stale)
             extras["migration_fallbacks"] = float(migration.migration_fallbacks)
         return extras
 
@@ -1072,7 +1078,6 @@ def _build_sharded(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHar
             else FailoverConfig(grace_s=float(failover_grace_s))
         )
     foreman = build_shard_plane(stack, n_shards, failover=failover_config)
-    coordinator = stack.failover
     if shard_crash_at_s is not None:
         restart = (
             None if shard_crash_restart_s is None else float(shard_crash_restart_s)
@@ -1089,17 +1094,6 @@ def _build_sharded(stack: _Stack, cfg: StackConfig, options: Dict) -> _PolicyHar
         stack.engine.call_at(float(shard_crash_at_s), _strike)
     harness = _build_hta(stack, cfg, options)
     harness.name = f"HTA-sharded{n_shards}"
-    if coordinator is not None:
-        base_extras = harness.extras
-
-        def sharded_extras(acc) -> Dict[str, float]:
-            extras = base_extras(acc) if base_extras is not None else {}
-            extras["shard_failovers"] = float(coordinator.failovers)
-            extras["tasks_rehomed"] = float(coordinator.tasks_rehomed)
-            extras["workers_reattached"] = float(coordinator.workers_reattached)
-            return extras
-
-        harness.extras = sharded_extras
     return harness
 
 

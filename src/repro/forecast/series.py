@@ -153,7 +153,7 @@ class MasterDemandSampler:
         self.backlog = DemandSeries("backlog", max_samples)
         self.demand_cores = DemandSeries("demand_cores", max_samples)
         self._listeners: List[SampleListener] = []
-        self._last_submitted = master.tasks_submitted
+        self._last_submitted = master.counts.tasks_submitted
         self._last_probe_t = engine.now
         self._loop = PeriodicTask(engine, interval_s, self.probe, start_after=start_after)
 
@@ -166,7 +166,7 @@ class MasterDemandSampler:
     def probe(self) -> None:
         """Take one sample now (also called by the periodic loop)."""
         now = self.engine.now
-        submitted = self.master.tasks_submitted
+        submitted = self.master.counts.tasks_submitted
         dt = now - self._last_probe_t
         rate = (submitted - self._last_submitted) / dt if dt > 0 else 0.0
         self._last_submitted = submitted

@@ -109,7 +109,7 @@ class MasterDeployment:
             self.master.pause()
             return
         if pod.phase is PodPhase.RUNNING and not self.master.available:
-            if self.master.outages > 0 or self.restarts_observed > 0:
+            if self.master.counts.outages > 0 or self.restarts_observed > 0:
                 self.restarts_observed += 1
             self.master.resume()
         elif pod.phase.terminal and self.master.available:
@@ -128,5 +128,5 @@ class MasterDeployment:
             "pod": pod.name if pod else None,
             "phase": pod.phase.value if pod else None,
             "master_available": self.master.available,
-            "outages": self.master.outages,
+            "outages": self.master.counts.outages,
         }

@@ -294,7 +294,7 @@ class HtaOperator:
             return False  # stop the loop
         if self.config.degraded_mode and self._degraded():
             return self._degraded_cycle()
-        if self.master.tasks_submitted == 0 and not self._no_more_jobs:
+        if self.master.counts.tasks_submitted == 0 and not self._no_more_jobs:
             # Still in warm-up: the initial pool stands until the first
             # jobs arrive; resizing starts with the runtime stage (§V-C).
             if self.tracer.enabled:

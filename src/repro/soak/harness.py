@@ -415,54 +415,55 @@ def run_soak(seed: int, config: SoakConfig = SoakConfig()) -> SoakReport:
         violations.extend(check_version_monotonic(probe))
         violations.extend(check_trace_consistency(master, stack.chaos, stack.tracer))
         probe.close()
+        counts = master.counts
         stats: Dict[str, float] = {
             "sim_time_s": engine.now,
             "tasks_done": float(sum(1 for t in master.done if t.speculation_of is None)),
             "tasks_abandoned": float(len(master.abandoned)),
-            "tasks_requeued": float(master.tasks_requeued),
-            "tasks_evacuated": float(master.tasks_evacuated),
-            "partitions_detected": float(master.partitions_detected),
-            "workers_declared_lost": float(master.workers_declared_lost),
-            "master_crashes": float(master.crashes),
+            "tasks_requeued": float(counts.tasks_requeued),
+            "tasks_evacuated": float(counts.tasks_evacuated),
+            "partitions_detected": float(counts.partitions_detected),
+            "workers_declared_lost": float(counts.workers_declared_lost),
+            "master_crashes": float(counts.crashes),
             "preemptions": float(stack.cluster.cloud.preemptions),
-            "nodes_killed": float(stack.chaos.nodes_killed if stack.chaos else 0),
-            "pods_killed": float(stack.chaos.pods_killed if stack.chaos else 0),
+            "nodes_killed": float(stack.chaos.counts.nodes_killed if stack.chaos else 0),
+            "pods_killed": float(stack.chaos.counts.pods_killed if stack.chaos else 0),
             "workers_evacuated": float(responder.workers_evacuated),
             "journal_records": float(len(master.journal)),
-            "migrations_accepted": float(master.migrations_accepted),
-            "migrations_stale": float(master.migrations_stale),
+            "migrations_accepted": float(counts.migrations_accepted),
+            "migrations_stale": float(counts.migrations_stale),
         }
         if migration is not None:
             stats["migrations_started"] = float(migration.migrations_started)
             stats["migrations_completed"] = float(migration.migrations_completed)
             stats["migration_fallbacks"] = float(migration.migration_fallbacks)
             stats["migrations_injected"] = float(
-                stack.chaos.migrations_injected if stack.chaos else 0
+                stack.chaos.counts.migrations_injected if stack.chaos else 0
             )
         if failover is not None:
             stats["shard_crashes"] = float(
-                stack.chaos.shard_crashes if stack.chaos else 0
+                stack.chaos.counts.shard_crashes if stack.chaos else 0
             )
-            stats["shard_failovers"] = float(failover.failovers)
-            stats["failovers_aborted"] = float(failover.failovers_aborted)
-            stats["tasks_rehomed"] = float(failover.tasks_rehomed)
-            stats["tasks_rebalanced"] = float(failover.tasks_rebalanced)
-            stats["workers_reattached"] = float(failover.workers_reattached)
+            stats["shard_failovers"] = float(failover.counts.failovers)
+            stats["failovers_aborted"] = float(failover.counts.failovers_aborted)
+            stats["tasks_rehomed"] = float(failover.counts.tasks_rehomed)
+            stats["tasks_rebalanced"] = float(failover.counts.tasks_rebalanced)
+            stats["workers_reattached"] = float(failover.counts.workers_reattached)
         if config.integrity:
-            stats["verify_fails"] = float(master.verify_fails)
+            stats["verify_fails"] = float(counts.verify_fails)
             stats["checkpoint_verify_fails"] = float(
-                master.checkpoint_verify_fails
+                counts.checkpoint_verify_fails
             )
-            stats["corrupted_completes"] = float(master.corrupted_completes)
-            stats["quarantines"] = float(master.quarantines)
-            stats["unquarantines"] = float(master.unquarantines)
-            stats["tasks_poisoned"] = float(master.tasks_poisoned)
-            stats["quarantined_rejected"] = float(master.quarantined_rejected)
+            stats["corrupted_completes"] = float(counts.corrupted_completes)
+            stats["quarantines"] = float(counts.quarantines)
+            stats["unquarantines"] = float(counts.unquarantines)
+            stats["tasks_poisoned"] = float(counts.tasks_poisoned)
+            stats["quarantined_rejected"] = float(counts.quarantined_rejected)
             stats["corruptions_injected"] = float(
-                stack.chaos.corruptions_injected if stack.chaos else 0
+                stack.chaos.counts.corruptions_injected if stack.chaos else 0
             )
             stats["black_holes_injected"] = float(
-                stack.chaos.black_holes_injected if stack.chaos else 0
+                stack.chaos.counts.black_holes_injected if stack.chaos else 0
             )
         journal_digest = master.journal.digest()
     return SoakReport(

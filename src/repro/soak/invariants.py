@@ -360,12 +360,13 @@ def check_integrity_protocol(master) -> List[Violation]:
     counters and strictly alternate per worker (a worker is never
     condemned twice without re-admission in between)."""
     violations: List[Violation] = []
+    counts = master.counts
     if master.verify:
-        if master.corrupted_completes:
+        if counts.corrupted_completes:
             violations.append(
                 Violation(
                     "integrity-protocol",
-                    f"{master.corrupted_completes} corrupted result(s) "
+                    f"{counts.corrupted_completes} corrupted result(s) "
                     f"reached COMPLETE despite verification",
                 )
             )
@@ -381,11 +382,11 @@ def check_integrity_protocol(master) -> List[Violation]:
                     f"done task(s) still flagged corrupt: {tainted[:10]}",
                 )
             )
-    quarantine_recs = unquarantine_recs = 0
+    records: Counter = Counter()
     condemned: Dict[str, bool] = {}
     for rec in master.journal.records:
+        records[rec.op] += 1
         if rec.op == "quarantine":
-            quarantine_recs += 1
             if condemned.get(rec.worker):
                 violations.append(
                     Violation(
@@ -396,7 +397,6 @@ def check_integrity_protocol(master) -> List[Violation]:
                 )
             condemned[rec.worker] = True
         elif rec.op == "unquarantine":
-            unquarantine_recs += 1
             if not condemned.get(rec.worker):
                 violations.append(
                     Violation(
@@ -406,23 +406,30 @@ def check_integrity_protocol(master) -> List[Violation]:
                     )
                 )
             condemned[rec.worker] = False
-    if quarantine_recs != master.quarantines:
-        violations.append(
-            Violation(
-                "integrity-protocol",
-                f"quarantine counter {master.quarantines} != "
-                f"{quarantine_recs} QUARANTINE journal records",
+    for op, counted in (
+        ("quarantine", counts.quarantines),
+        ("unquarantine", counts.unquarantines),
+    ):
+        if records[op] != counted:
+            violations.append(
+                Violation(
+                    "integrity-protocol",
+                    f"{op} counter {counted} != {records[op]} "
+                    f"{op.upper()} journal records",
+                )
             )
-        )
-    if unquarantine_recs != master.unquarantines:
-        violations.append(
-            Violation(
-                "integrity-protocol",
-                f"unquarantine counter {master.unquarantines} != "
-                f"{unquarantine_recs} UNQUARANTINE journal records",
-            )
-        )
     return violations
+
+
+#: ``ChaosCounts`` fields bumped exactly once per trace event of the name.
+_TRACED_CHAOS = (
+    ("preemptions", "chaos.preemption"),
+    ("partition_windows", "chaos.partition"),
+    ("migrations_injected", "chaos.migrate"),
+    ("corruptions_injected", "chaos.corrupt"),
+    ("black_holes_injected", "chaos.black_hole"),
+    ("shard_crashes", "chaos.shard_crash"),
+)
 
 
 def check_trace_consistency(master, chaos, tracer) -> List[Violation]:
@@ -458,62 +465,15 @@ def check_trace_consistency(master, chaos, tracer) -> List[Violation]:
             )
         )
     if chaos is not None:
-        traced_preemptions = sum(1 for e in events if e.name == "chaos.preemption")
-        if chaos.preemptions_total != traced_preemptions:
-            violations.append(
-                Violation(
-                    "trace-consistency",
-                    f"preemptions counter {chaos.preemptions_total} != "
-                    f"{traced_preemptions} chaos.preemption trace events",
+        traced = Counter(e.name for e in events)
+        for field, event in _TRACED_CHAOS:
+            counted = getattr(chaos.counts, field)
+            if counted != traced[event]:
+                violations.append(
+                    Violation(
+                        "trace-consistency",
+                        f"{field} counter {counted} != "
+                        f"{traced[event]} {event} trace events",
+                    )
                 )
-            )
-        traced_partitions = sum(1 for e in events if e.name == "chaos.partition")
-        if chaos.partition_windows != traced_partitions:
-            violations.append(
-                Violation(
-                    "trace-consistency",
-                    f"partition counter {chaos.partition_windows} != "
-                    f"{traced_partitions} chaos.partition trace events",
-                )
-            )
-        traced_migrations = sum(1 for e in events if e.name == "chaos.migrate")
-        if chaos.migrations_injected != traced_migrations:
-            violations.append(
-                Violation(
-                    "trace-consistency",
-                    f"migrate counter {chaos.migrations_injected} != "
-                    f"{traced_migrations} chaos.migrate trace events",
-                )
-            )
-        traced_corruptions = sum(1 for e in events if e.name == "chaos.corrupt")
-        if chaos.corruptions_injected != traced_corruptions:
-            violations.append(
-                Violation(
-                    "trace-consistency",
-                    f"corrupt counter {chaos.corruptions_injected} != "
-                    f"{traced_corruptions} chaos.corrupt trace events",
-                )
-            )
-        traced_black_holes = sum(
-            1 for e in events if e.name == "chaos.black_hole"
-        )
-        if chaos.black_holes_injected != traced_black_holes:
-            violations.append(
-                Violation(
-                    "trace-consistency",
-                    f"black-hole counter {chaos.black_holes_injected} != "
-                    f"{traced_black_holes} chaos.black_hole trace events",
-                )
-            )
-        traced_shard_crashes = sum(
-            1 for e in events if e.name == "chaos.shard_crash"
-        )
-        if chaos.shard_crashes != traced_shard_crashes:
-            violations.append(
-                Violation(
-                    "trace-consistency",
-                    f"shard-crash counter {chaos.shard_crashes} != "
-                    f"{traced_shard_crashes} chaos.shard_crash trace events",
-                )
-            )
     return violations

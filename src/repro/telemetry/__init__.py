@@ -5,7 +5,7 @@ The observability layer behind ``run_experiment``:
 * :mod:`repro.telemetry.events` — :class:`Tracer` and the typed
   :class:`TraceEvent` stream (zero-cost when disabled);
 * :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` with
-  labelled counters, gauges, and histograms;
+  counter blocks and labelled counters, gauges, and histograms;
 * :mod:`repro.telemetry.exporters` — JSONL, Chrome ``chrome://tracing``,
   and Prometheus text formats (plus parsers used as validators);
 * :mod:`repro.telemetry.explain` — the operator decision-audit timeline;

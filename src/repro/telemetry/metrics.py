@@ -1,13 +1,17 @@
-"""A metrics registry: counters, gauges, histograms with labels.
+"""A metrics registry: counter blocks, and counters, gauges and
+histograms with labels.
 
-Replaces the ad-hoc ``self.pods_killed += 1``-style integers scattered
-through the fault-injection and control-plane layers with named,
-labelled instruments that one registry can enumerate — which is what
+One registry per run enumerates everything the run counts, which is what
 makes a uniform Prometheus text export possible (see
-:mod:`repro.telemetry.exporters`). Components that predate the registry
-keep their attribute API by backing the attribute with a counter (e.g.
-``ChaosInjector.pods_killed`` is now a property over
-``chaos_pods_killed_total``).
+:mod:`repro.telemetry.exporters`). A component that counts events keeps
+one *counter block* — a slotted dataclass of ``int``/``float`` fields
+(``DispatchCounts``, ``ChaosCounts``, ``FailoverCounts``, ``ApiCounts``)
+bumped with a plain ``+=`` — and :meth:`MetricsRegistry.register_block`
+exports every field, read at export time, so counting costs nothing
+extra and the export is complete by construction. The labelled
+:class:`Counter` is for truly dimensional counts (a label value known
+only per event, such as a watch kind); :func:`sum_blocks` folds the
+blocks of several owners, such as the foreman's shards.
 
 Instruments are cheap plain-dict machines — no locks, no background
 threads — so they are safe to create unconditionally even in runs that
@@ -16,8 +20,9 @@ never export anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -43,56 +48,17 @@ class _Instrument:
         self.help = help
 
 
-class Counter(_Instrument):
-    """A monotonically-increasing value, optionally per label set."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    @property
-    def total(self) -> float:
-        """Sum across every label set."""
-        return sum(self._values.values())
-
-    def samples(self) -> List[Tuple[LabelKey, float]]:
-        return sorted(self._values.items())
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down; settable or callback-backed."""
-
-    kind = "gauge"
+class _Sampled(_Instrument):
+    """A value per label set, stored or read from a callback when sampled."""
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._values: Dict[LabelKey, float] = {}
         self._functions: Dict[LabelKey, Callable[[], float]] = {}
 
-    def set(self, value: float, **labels: str) -> None:
-        self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
     def set_function(self, fn: Callable[[], float], **labels: str) -> None:
-        """Read the gauge from ``fn`` at sample time (live values like
-        queue depth are cheaper to poll than to event out)."""
+        """Read this label set from ``fn`` at sample time (live values
+        are cheaper to poll than to event out)."""
         self._functions[_label_key(labels)] = fn
 
     def value(self, **labels: str) -> float:
@@ -106,6 +72,48 @@ class Gauge(_Instrument):
         for key, fn in self._functions.items():
             out[key] = float(fn())
         return sorted(out.items())
+
+
+class Counter(_Sampled):
+    """A monotonically-increasing value, optionally per label set."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease ({amount})")
+        key = _label_key(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
+
+    @property
+    def total(self) -> float:
+        """Sum across every label set."""
+        return sum(value for _key, value in self.samples())
+
+
+class Gauge(_Sampled):
+    """A value that can go up and down; settable or callback-backed."""
+
+    kind = "gauge"
+
+    def set(self, value: float, **labels: str) -> None:
+        self._values[_label_key(labels)] = float(value)
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        key = _label_key(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
+
+    def dec(self, amount: float = 1.0, **labels: str) -> None:
+        self.inc(-amount, **labels)
+
+
+def sum_blocks(blocks: Sequence[Any]) -> Any:
+    """Field-wise sum of counter blocks of one type, folded in sequence
+    order (a float field sums exactly as a loop over the owners would)."""
+    first = blocks[0]
+    return type(first)(
+        **{f.name: sum(getattr(b, f.name) for b in blocks) for f in fields(first)}
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,6 +218,17 @@ class MetricsRegistry:
         return self._get_or_create(  # type: ignore[return-value]
             Histogram, name, help, buckets=buckets
         )
+
+    def register_block(self, prefix: str, block: Any, **labels: str) -> None:
+        """Export every field of ``block`` (a dataclass of numbers its
+        owner increments) as the counter ``<prefix>_<field>_total``,
+        labelled by ``labels``, the owner. The block is read at export
+        time, so its owner must mutate it in place, never replace it."""
+        for f in fields(block):
+            counter = self.counter(
+                f"{prefix}_{f.name}_total", f"{type(block).__name__}.{f.name}"
+            )
+            counter.set_function(partial(getattr, block, f.name), **labels)
 
     def get(self, name: str) -> Optional[_Instrument]:
         return self._instruments.get(name)

@@ -5,9 +5,10 @@ The Work Queue master splits into two layers:
 * :class:`DispatchCore` (this module) — the pure dispatch state machine:
   the FIFO queue with retry-to-front semantics, the run table, the
   retry/backoff/abandon ladder, speculation, health/integrity policy,
-  completion acceptance, and every aggregate counter — each transition
-  journalled through :class:`~repro.wq.journal.TransactionJournal` so
-  replay (and the fixed-seed fidelity oracle) see one canonical history;
+  completion acceptance, and its event counts (:class:`DispatchCounts`)
+  — each transition journalled through
+  :class:`~repro.wq.journal.TransactionJournal` so replay (and the
+  fixed-seed fidelity oracle) see one canonical history;
 * :class:`~repro.wq.master.Master` — the thin session/connection shell
   over it: worker registration, partition liveness clocks, outage
   pause/resume, and crash recovery.
@@ -134,6 +135,66 @@ class DispatchConfig:
             raise ValueError("max_retries must be non-negative")
 
 
+@dataclass(slots=True)
+class DispatchCounts:
+    """Every event count of one :class:`DispatchCore`, bumped with a
+    plain ``+=`` by the core and its :class:`~repro.wq.master.Master`
+    shell. A registry passed to the core exports each field as
+    ``wq_<field>_total{shard="<core name>"}``; the foreman sums its
+    shards' blocks field by field."""
+
+    #: Submissions since the last crash (a crash zeroes it; journal
+    #: replay restores it).
+    tasks_submitted: int = 0
+    tasks_requeued: int = 0
+    tasks_failed: int = 0
+    tasks_exhausted: int = 0
+    escalations: int = 0
+    tasks_speculated: int = 0
+    speculation_wins: int = 0
+    speculation_losses: int = 0
+    #: Result deliveries rejected by content-digest verification.
+    verify_fails: int = 0
+    #: Checkpoint deliveries whose snapshot failed verification.
+    checkpoint_verify_fails: int = 0
+    #: Corrupted results accepted as COMPLETE (only possible with
+    #: verification off — the ground-truth damage counter the integrity
+    #: experiment contrasts).
+    corrupted_completes: int = 0
+    #: Core-seconds of corrupt completed work, subtracted from
+    #: :meth:`DispatchCore.goodput_core_s` by
+    #: :meth:`DispatchCore.clean_goodput_core_s`.
+    corrupted_goodput_core_s: float = 0.0
+    #: Workers quarantined / re-admitted on probation by the ledger.
+    quarantines: int = 0
+    unquarantines: int = 0
+    #: Tasks isolated by blame attribution (poison-task verdicts).
+    tasks_poisoned: int = 0
+    #: Deliveries rejected because the worker was quarantined.
+    quarantined_rejected: int = 0
+    #: Core-seconds burned by killed attempts and cancelled duplicates.
+    wasted_core_s: float = 0.0
+    outages: int = 0
+    crashes: int = 0
+    #: Completed tasks re-executed because recovery forgot them.
+    tasks_rerun: int = 0
+    #: Result deliveries dropped by the (task_id, attempt) idempotency
+    #: check or because the recovered master no longer knows the attempt.
+    duplicate_results: int = 0
+    partitions_detected: int = 0
+    workers_declared_lost: int = 0
+    #: In-flight runs proactively pulled off doomed (preemption-
+    #: noticed) workers inside the grace window.
+    tasks_evacuated: int = 0
+    #: Checkpoints accepted (task requeued resuming from progress) and
+    #: dropped as stale (attempt superseded while shipping).
+    migrations_accepted: int = 0
+    migrations_stale: int = 0
+    #: Tasks adopted from a dead shard by the failover coordinator
+    #: (queued and unclaimed both count; zero on unsharded masters).
+    tasks_rehomed_in: int = 0
+
+
 class DispatchCore:
     """The pure queue/run-table/retry state machine behind the master.
 
@@ -191,6 +252,10 @@ class DispatchCore:
             else None
         )
         self.name = name
+        #: Every event count of this core (see :class:`DispatchCounts`).
+        self.counts = DispatchCounts()
+        if metrics is not None:
+            metrics.register_block("wq", self.counts, shard=name)
         self.max_retries = config.max_retries
         #: Optional task-level fault injection (see :mod:`repro.wq.faults`).
         self.fault_model = config.fault_model
@@ -270,8 +335,6 @@ class DispatchCore:
         self._abandoned_callbacks: Tuple[Callable[[Task], None], ...] = ()
         self._callbacks: Tuple[CompletionCallback, ...] = ()
         self._dispatch_pending = False
-        self.tasks_submitted = 0
-        self.tasks_requeued = 0
         # ------------------------------------------ fault-tolerance state
         #: Tasks waiting out a retry backoff (not in the queue yet).
         self._backoff_pending = 0
@@ -280,39 +343,13 @@ class DispatchCore:
         self._spec: Dict[int, Task] = {}
         self._spec_origin: Dict[int, Task] = {}
         self._spec_loop: Optional[PeriodicTask] = None
-        self.tasks_failed = 0
-        self.tasks_exhausted = 0
-        self.escalations = 0
-        self.tasks_speculated = 0
-        self.speculation_wins = 0
-        self.speculation_losses = 0
         # --------------------------------------------------- integrity state
-        #: Result deliveries rejected by content-digest verification.
-        self.verify_fails = 0
-        #: Checkpoint deliveries whose snapshot failed verification.
-        self.checkpoint_verify_fails = 0
-        #: Corrupted results accepted as COMPLETE (only possible with
-        #: verification off — the ground-truth damage counter the
-        #: integrity experiment contrasts).
-        self.corrupted_completes = 0
-        #: Core-seconds of corrupt completed work, subtracted from
-        #: :meth:`goodput_core_s` by :meth:`clean_goodput_core_s`.
-        self.corrupted_goodput_core_s = 0.0
-        #: Workers quarantined / re-admitted on probation by the ledger.
-        self.quarantines = 0
-        self.unquarantines = 0
-        #: Tasks isolated by blame attribution (poison-task verdicts).
-        self.tasks_poisoned = 0
-        #: Deliveries rejected because the worker was quarantined.
-        self.quarantined_rejected = 0
         #: Monotonic token per worker name; a probation timer fires only
         #: if no newer quarantine superseded it.
         self._quarantine_seq: Dict[str, int] = {}
         #: Worker names the replayed journal says were quarantined at
         #: crash time; re-applied as those workers reconnect.
         self._recovered_quarantined: Set[str] = set()
-        #: Core-seconds burned by killed attempts and cancelled duplicates.
-        self.wasted_core_s = 0.0
         #: False while the master process is down (its pod restarting).
         #: Dispatch pauses and completions buffer at the workers until
         #: the master resumes — the paper's StatefulSet + persistent
@@ -321,7 +358,6 @@ class DispatchCore:
         #: pod that has not started yet (MasterDeployment does).
         self.available = start_available
         self._buffered_completions: List[tuple[Worker, Task]] = []
-        self.outages = 0
         # ------------------------------------------- crash-recovery state
         #: Append-only transaction log of state transitions; models the
         #: log Work Queue keeps on the master pod's persistent volume.
@@ -338,12 +374,6 @@ class DispatchCore:
         #: rather than duplicated.
         self.recovery_grace_s = config.recovery_grace_s
         self.crashed = False
-        self.crashes = 0
-        #: Completed tasks re-executed because recovery forgot them.
-        self.tasks_rerun = 0
-        #: Result deliveries dropped by the (task_id, attempt) idempotency
-        #: check or because the recovered master no longer knows the attempt.
-        self.duplicate_results = 0
         self.last_crash_at: Optional[float] = None
         self.last_recovered_at: Optional[float] = None
         self.first_completion_after_recovery_at: Optional[float] = None
@@ -366,19 +396,7 @@ class DispatchCore:
         #: reconnect (not on heal — only the worker's re-registration
         #: proves the link is back).
         self._unreachable: Dict[str, float] = {}
-        self.partitions_detected = 0
-        self.workers_declared_lost = 0
-        #: In-flight runs proactively pulled off doomed (preemption-
-        #: noticed) workers inside the grace window.
-        self.tasks_evacuated = 0
         # ------------------------------------------------------- migration
-        #: Checkpoints accepted (task requeued resuming from progress)
-        #: and dropped as stale (attempt superseded while shipping).
-        self.migrations_accepted = 0
-        self.migrations_stale = 0
-        #: Tasks adopted from a dead shard by the failover coordinator
-        #: (queued and unclaimed both count; zero on unsharded masters).
-        self.tasks_rehomed_in = 0
         #: Ids of tasks moved to another shard (and not moved back): the
         #: new owner runs them, so a result delivered here is stale.
         self._handed_over: Set[int] = set()
@@ -455,7 +473,7 @@ class DispatchCore:
             raise RuntimeError(f"cannot submit task in state {task.state}")
         if task.submit_time is None:
             task.submit_time = self.engine.now
-        self.tasks_submitted += 1
+        self.counts.tasks_submitted += 1
         self.journal.record_submit(self.engine.now, task)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -572,8 +590,8 @@ class DispatchCore:
                 self._drop_speculation_entry(task)
                 task.state = TaskState.FAILED
                 continue
-            self.tasks_evacuated += 1
-            self.tasks_requeued += 1
+            self.counts.tasks_evacuated += 1
+            self.counts.tasks_requeued += 1
             task.reset_for_retry()
             self.journal.record_retry(self.engine.now, task)
             if self.tracer.enabled:
@@ -622,7 +640,7 @@ class DispatchCore:
             self.engine.now, task, placement=placement, progress=progress
         )
         self._handed_over.discard(task.id)
-        self.tasks_rehomed_in += 1
+        self.counts.tasks_rehomed_in += 1
         if placement == "unclaimed":
             self._unclaimed[task.id] = task
         else:
@@ -683,7 +701,7 @@ class DispatchCore:
         )
         if not accepted:
             task.checkpoint_corrupt = False
-            self.migrations_stale += 1
+            self.counts.migrations_stale += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "wq",
@@ -703,7 +721,7 @@ class DispatchCore:
             # and requeues at the front, no attempt burned. The execution
             # beyond the old bank is wasted along with the lost tail.
             task.checkpoint_corrupt = False
-            self.checkpoint_verify_fails += 1
+            self.counts.checkpoint_verify_fails += 1
             self.journal.record_verify_fail(self.engine.now, task, worker.name)
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -719,7 +737,7 @@ class DispatchCore:
             self._unclaimed.pop(task.id, None)
             unbanked_s = max(0.0, new_progress - task.progress_s) + max(0.0, lost_s)
             if unbanked_s > 0:
-                self.wasted_core_s += unbanked_s * self._billable_cores(task)
+                self.counts.wasted_core_s += unbanked_s * self._billable_cores(task)
             task.reset_for_retry()
             self.journal.record_migrate_out(self.engine.now, task)
             self._enqueue_front(task)
@@ -728,7 +746,7 @@ class DispatchCore:
                 fn(worker, task, False, ship_s)
             return False
         task.checkpoint_corrupt = False
-        self.migrations_accepted += 1
+        self.counts.migrations_accepted += 1
         # Satellite of the migration protocol: a live speculative clone
         # of the migrating task must die here — first-completion-wins
         # against a clone would complete the task while its resumed
@@ -737,7 +755,7 @@ class DispatchCore:
         self.running.pop(task.id, None)
         self._unclaimed.pop(task.id, None)
         if lost_s > 0:
-            self.wasted_core_s += lost_s * self._billable_cores(task)
+            self.counts.wasted_core_s += lost_s * self._billable_cores(task)
         task.progress_s = new_progress
         task.reset_for_retry()
         self.journal.record_checkpoint(self.engine.now, task, new_progress)
@@ -784,7 +802,7 @@ class DispatchCore:
             if task.attempts > self.max_retries:
                 self._abandon(task)
                 continue
-            self.tasks_requeued += 1
+            self.counts.tasks_requeued += 1
             task.reset_for_retry()
             self.journal.record_retry(self.engine.now, task)
             if self.tracer.enabled:
@@ -830,7 +848,7 @@ class DispatchCore:
         Queue's first-allocation/max-allocation retry — then the task
         re-enters the queue after an exponential backoff."""
         self.running.pop(task.id, None)
-        self.tasks_failed += 1
+        self.counts.tasks_failed += 1
         self._charge_waste(task)
         # Time-to-outcome for the fast-fail detector, taken before the
         # retry reset clears the attempt's timing.
@@ -856,8 +874,8 @@ class DispatchCore:
             self._health_failure(worker, task, runtime_s=runtime_s)
             return
         if fault.kind == "exhaustion" and fault.escalate_to is not None:
-            self.tasks_exhausted += 1
-            self.escalations += 1
+            self.counts.tasks_exhausted += 1
+            self.counts.escalations += 1
             floor = task.min_allocation or ResourceVector.zero()
             task.min_allocation = floor.max_with(fault.escalate_to)
             self.monitor.observe_exhaustion(task.category, fault.escalate_to)
@@ -868,7 +886,7 @@ class DispatchCore:
         if task.attempts > self.max_retries:
             self._abandon(task)
             return
-        self.tasks_requeued += 1
+        self.counts.tasks_requeued += 1
         delay = self.retry_policy.backoff_s(task.attempts)
         task.reset_for_retry()
         if delay <= 0:
@@ -935,8 +953,8 @@ class DispatchCore:
         escalation path (abandon + raise its category floor so HTA's
         planner prices its kin realistically) instead of letting it burn
         retries forever."""
-        self.tasks_poisoned += 1
-        self.escalations += 1
+        self.counts.tasks_poisoned += 1
+        self.counts.escalations += 1
         floor = task.min_allocation or ResourceVector.zero()
         escalate_to = floor.max_with(task.footprint)
         task.min_allocation = escalate_to
@@ -959,7 +977,7 @@ class DispatchCore:
         if worker.quarantined:
             return
         worker.quarantined = True
-        self.quarantines += 1
+        self.counts.quarantines += 1
         self.journal.record_quarantine(self.engine.now, worker.name)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -996,7 +1014,7 @@ class DispatchCore:
         if self.health is None or not self.health.begin_probation(worker.name):
             return
         worker.quarantined = False
-        self.unquarantines += 1
+        self.counts.unquarantines += 1
         self.journal.record_unquarantine(self.engine.now, worker.name)
         if self.tracer.enabled:
             self.tracer.emit("wq", "worker.probation", worker=worker.name)
@@ -1010,8 +1028,8 @@ class DispatchCore:
         task-level failure — it burns an attempt, scores against the
         worker's health, and retries with the standard backoff — and is
         journalled as VERIFY_FAIL so replay carries the audit trail."""
-        self.verify_fails += 1
-        self.tasks_failed += 1
+        self.counts.verify_fails += 1
+        self.counts.tasks_failed += 1
         runtime_s = (
             self.engine.now - task.start_time
             if task.start_time is not None
@@ -1033,7 +1051,7 @@ class DispatchCore:
             # the books below reset the task to WAITING, so a later clone
             # completion would hit the stale-delivery guard and be
             # wasted. Cancel it and let the retry own the task.
-            self.speculation_losses += 1
+            self.counts.speculation_losses += 1
             self._cancel_speculation_for(task)
         self.running.pop(task.id, None)
         self._unclaimed.pop(task.id, None)
@@ -1047,7 +1065,7 @@ class DispatchCore:
         if task.attempts > self.max_retries:
             self._abandon(task)
             return
-        self.tasks_requeued += 1
+        self.counts.tasks_requeued += 1
         delay = self.retry_policy.backoff_s(task.attempts)
         task.reset_for_retry()
         if delay <= 0:
@@ -1073,7 +1091,7 @@ class DispatchCore:
         """A speculative clone's result failed verification. Clones are
         never journalled, so no VERIFY_FAIL record — just drop the clone
         (the original is still in flight) and score the worker."""
-        self.verify_fails += 1
+        self.counts.verify_fails += 1
         runtime_s = (
             self.engine.now - clone.start_time
             if clone.start_time is not None
@@ -1131,7 +1149,7 @@ class DispatchCore:
         elapsed = min(self.engine.now - task.start_time, task.remaining_execute_s())
         if elapsed <= 0:
             return
-        self.wasted_core_s += elapsed * self._billable_cores(task)
+        self.counts.wasted_core_s += elapsed * self._billable_cores(task)
 
     def _worker_running(self, task: Task) -> Optional[Worker]:
         """The registered worker executing ``task``, if any. O(holders):
@@ -1369,7 +1387,7 @@ class DispatchCore:
             return False
         self._spec[original.id] = clone
         self._spec_origin[clone.id] = original
-        self.tasks_speculated += 1
+        self.counts.tasks_speculated += 1
         return True
 
     def _drop_speculation_entry(self, clone: Task) -> None:
@@ -1408,7 +1426,7 @@ class DispatchCore:
             # evacuation already requeued anything it could see, so this
             # branch only fires for deliveries the evacuation could not
             # reach (held results, in-flight returns).
-            self.quarantined_rejected += 1
+            self.counts.quarantined_rejected += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "wq",
@@ -1433,7 +1451,7 @@ class DispatchCore:
                 # burned (the worker is at fault, not the task).
                 self.running.pop(task.id, None)
                 self._charge_waste(task)
-                self.tasks_requeued += 1
+                self.counts.tasks_requeued += 1
                 task.reset_for_retry()
                 self.journal.record_retry(self.engine.now, task)
                 self._enqueue_front(task)
@@ -1442,7 +1460,7 @@ class DispatchCore:
         if task.id in self._handed_over:
             # A held result of an attempt from before this shard gave
             # the task away; the new owner's attempt stands.
-            self.duplicate_results += 1
+            self.counts.duplicate_results += 1
             return
         if task.speculation_of is not None:
             self._finalize_speculative_win(worker, task)
@@ -1457,7 +1475,7 @@ class DispatchCore:
             # A delivery for an attempt the recovered master no longer
             # recognises (a cold restart reset the task): drop it and
             # let the queued copy re-run.
-            self.duplicate_results += 1
+            self.counts.duplicate_results += 1
             self.running.pop(task.id, None)
             return
         if task.payload_corrupt:
@@ -1469,11 +1487,11 @@ class DispatchCore:
             # Verification off: the corruption sails through to COMPLETE
             # (the experiment's attribution-off baseline). Track it so
             # goodput can be split into clean and corrupted shares.
-            self.corrupted_completes += 1
-            self.corrupted_goodput_core_s += task.execute_s * task.footprint.cores
+            self.counts.corrupted_completes += 1
+            self.counts.corrupted_goodput_core_s += task.execute_s * task.footprint.cores
         # First-completion-wins: the original beat its speculative copy.
         if task.id in self._spec:
-            self.speculation_losses += 1
+            self.counts.speculation_losses += 1
             self._cancel_speculation_for(task)
         self.running.pop(task.id, None)
         self._unclaimed.pop(task.id, None)
@@ -1538,11 +1556,11 @@ class DispatchCore:
     def _suppress_duplicate(self, task: Task) -> None:
         """A result arrived for a (task, attempt) the master has already
         accepted. Count it, release the bookkeeping, and drop it."""
-        self.duplicate_results += 1
+        self.counts.duplicate_results += 1
         self.running.pop(task.id, None)
         self._unclaimed.pop(task.id, None)
         if task.state is not TaskState.DONE:
-            self.tasks_rerun += 1
+            self.counts.tasks_rerun += 1
             self._charge_waste(task)
             task.state = TaskState.DONE
         self._schedule_dispatch()
@@ -1561,7 +1579,7 @@ class DispatchCore:
         if original is None:
             return  # already resolved (stale copy)
         self._spec.pop(original.id, None)
-        self.speculation_wins += 1
+        self.counts.speculation_wins += 1
         self.running.pop(original.id, None)
         self._dequeue(original)
         host = self._worker_running(original)
@@ -1589,8 +1607,8 @@ class DispatchCore:
         if clone.payload_corrupt:
             # Verification off: the fake completion wins the race and
             # its corrupted payload is accepted as the task's result.
-            self.corrupted_completes += 1
-            self.corrupted_goodput_core_s += (
+            self.counts.corrupted_completes += 1
+            self.counts.corrupted_goodput_core_s += (
                 result.execute_seconds * result.measured_resources.cores
             )
         original.result = result
@@ -1687,7 +1705,7 @@ class DispatchCore:
         results actually verify. Equal to :meth:`goodput_core_s` under
         verification (a corrupted result never completes); strictly
         smaller when verification is off and corruption slips through."""
-        return self.goodput_core_s() - self.corrupted_goodput_core_s
+        return self.goodput_core_s() - self.counts.corrupted_goodput_core_s
 
     def supplied_cores(self) -> float:
         """RS in cores: capacity of connected, accepting workers.

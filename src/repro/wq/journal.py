@@ -93,7 +93,7 @@ class ReplayedState:
     escalations: List[Tuple[str, ResourceVector]] = field(default_factory=list)
     #: Last journaled retry counter per task id.
     attempts: Dict[int, int] = field(default_factory=dict)
-    #: Count of submit records (restores ``Master.tasks_submitted``).
+    #: Count of submit records (restores ``Master.counts.tasks_submitted``).
     submitted: int = 0
     #: ``(task_id, attempt)`` keys already accepted — the idempotency
     #: set that suppresses duplicate result deliveries after recovery.

@@ -140,7 +140,7 @@ class Master(DispatchCore):
             return
         since = self.engine.now
         self._unreachable[worker.name] = since
-        self.partitions_detected += 1
+        self.counts.partitions_detected += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 "wq",
@@ -172,7 +172,7 @@ class Master(DispatchCore):
         # sit in ``running`` forever.
         bound = worker.unfinished_task_ids()
         lost = [t for tid, t in list(self.running.items()) if tid in bound]
-        self.workers_declared_lost += 1
+        self.counts.workers_declared_lost += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 "wq",
@@ -188,9 +188,9 @@ class Master(DispatchCore):
         if not self.available:
             return
         self.available = False
-        self.outages += 1
+        self.counts.outages += 1
         if self.tracer.enabled:
-            self.tracer.emit("wq", "master.pause", outages=self.outages)
+            self.tracer.emit("wq", "master.pause", outages=self.counts.outages)
 
     def resume(self) -> None:
         """The master is back (sticky identity + persistent volume): the
@@ -221,7 +221,7 @@ class Master(DispatchCore):
         if self.crashed:
             return
         self.crashed = True
-        self.crashes += 1
+        self.counts.crashes += 1
         self.last_crash_at = self.engine.now
         if self.tracer.enabled:
             self.tracer.emit(
@@ -234,7 +234,7 @@ class Master(DispatchCore):
         self.first_completion_after_recovery_at = None
         if self.available:
             self.available = False
-            self.outages += 1
+            self.counts.outages += 1
         self._incarnation += 1
         # ``master_lost`` never re-enters the worker table, so iterating
         # the live view (no defensive copy) is safe here.
@@ -248,7 +248,7 @@ class Master(DispatchCore):
         self.abandoned.clear()
         self._unclaimed.clear()
         self._delivered.clear()
-        self.tasks_submitted = 0
+        self.counts.tasks_submitted = 0
         self._backoff_pending = 0
         self.monitor.reset()
         self._spec.clear()
@@ -276,7 +276,7 @@ class Master(DispatchCore):
             return
         use_replay = self.replay_journal if replay is None else replay
         state = self.journal.replay(completions=use_replay)
-        self.tasks_submitted = state.submitted
+        self.counts.tasks_submitted = state.submitted
         if use_replay:
             self._reset_queue(list(state.ready))
             self._unclaimed = dict(state.unclaimed)
@@ -309,7 +309,7 @@ class Master(DispatchCore):
                 if task.result is not None:
                     # Completed before the crash; the cold restart
                     # forgot, so it will burn a second execution.
-                    self.tasks_rerun += 1
+                    self.counts.tasks_rerun += 1
                 task.result = None
                 task.finish_time = None
                 task.attempts = 0
@@ -356,7 +356,7 @@ class Master(DispatchCore):
             if task.attempts > self.max_retries:
                 self._abandon(task)
                 continue
-            self.tasks_requeued += 1
+            self.counts.tasks_requeued += 1
             task.reset_for_retry()
             self.journal.record_retry(self.engine.now, task)
             if self.tracer.enabled:

@@ -1,18 +1,21 @@
 """Sharded data plane: task partitioning and the foreman tier.
 
 One :class:`~repro.wq.master.Master` serializes all dispatch. That is
-faithful to Work Queue and fine for the paper's hundreds of tasks, but
-a million-task workflow spends most of its wall clock in the master's
-dispatch passes (each completion re-scans the queue). This module
-splits the data plane the way glide-in / pool-of-pools systems do:
+faithful to Work Queue and fine for the paper's hundreds of tasks. A
+dispatch pass runs on every completion; it stops at the last live
+placement signature and bisects an ordered index of accepting workers
+(DESIGN.md §12), so its cost no longer grows with queue depth, but one
+master still serializes every pass. This module splits the data plane
+the way glide-in / pool-of-pools systems do:
 
 * :class:`TaskPartitioner` — a seeded hash (or range) function mapping
   every task id to one of N shards, so a workflow fans out across N
   independent masters, each owning a disjoint slice of the queue;
 * :class:`Foreman` — the master-of-masters. Workers and tasks talk to
   their own shard; the foreman aggregates per-shard queue status
-  (``cores_waiting``, category stats via the shared monitor, counters,
-  quarantine sets) *upward* so :class:`~repro.hta.operator.HtaOperator`
+  (``cores_waiting``, category stats via the shared monitor, the
+  field-wise sum of the shards' counter blocks, quarantine sets)
+  *upward* so :class:`~repro.hta.operator.HtaOperator`
   and the accounting layer consume one logical view unchanged.
 
 What stays per-shard: the queue, the run table, retry/backoff state,
@@ -48,7 +51,8 @@ from typing import (
 )
 
 from repro.sim.engine import Engine
-from repro.wq.dispatch import CompletionCallback, MasterStats
+from repro.telemetry.metrics import MetricsRegistry, sum_blocks
+from repro.wq.dispatch import CompletionCallback, DispatchCounts, MasterStats
 from repro.wq.journal import TransactionJournal
 from repro.wq.master import Master
 from repro.wq.task import Task
@@ -551,118 +555,11 @@ class Foreman:
         return [w for s in self.shards for w in s.idle_workers()]
 
     # --------------------------------------------------- aggregate counters
-    def _sum(self, attr: str) -> float:
-        return sum(getattr(s, attr) for s in self.shards)
-
     @property
-    def tasks_submitted(self) -> int:
-        return int(self._sum("tasks_submitted"))
-
-    @property
-    def tasks_requeued(self) -> int:
-        return int(self._sum("tasks_requeued"))
-
-    @property
-    def tasks_failed(self) -> int:
-        return int(self._sum("tasks_failed"))
-
-    @property
-    def tasks_exhausted(self) -> int:
-        return int(self._sum("tasks_exhausted"))
-
-    @property
-    def escalations(self) -> int:
-        return int(self._sum("escalations"))
-
-    @property
-    def tasks_speculated(self) -> int:
-        return int(self._sum("tasks_speculated"))
-
-    @property
-    def speculation_wins(self) -> int:
-        return int(self._sum("speculation_wins"))
-
-    @property
-    def speculation_losses(self) -> int:
-        return int(self._sum("speculation_losses"))
-
-    @property
-    def verify_fails(self) -> int:
-        return int(self._sum("verify_fails"))
-
-    @property
-    def checkpoint_verify_fails(self) -> int:
-        return int(self._sum("checkpoint_verify_fails"))
-
-    @property
-    def corrupted_completes(self) -> int:
-        return int(self._sum("corrupted_completes"))
-
-    @property
-    def corrupted_goodput_core_s(self) -> float:
-        return self._sum("corrupted_goodput_core_s")
-
-    @property
-    def quarantines(self) -> int:
-        return int(self._sum("quarantines"))
-
-    @property
-    def unquarantines(self) -> int:
-        return int(self._sum("unquarantines"))
-
-    @property
-    def tasks_poisoned(self) -> int:
-        return int(self._sum("tasks_poisoned"))
-
-    @property
-    def quarantined_rejected(self) -> int:
-        return int(self._sum("quarantined_rejected"))
-
-    @property
-    def wasted_core_s(self) -> float:
-        return self._sum("wasted_core_s")
-
-    @property
-    def outages(self) -> int:
-        return int(self._sum("outages"))
-
-    @property
-    def crashes(self) -> int:
-        return int(self._sum("crashes"))
-
-    @property
-    def tasks_rerun(self) -> int:
-        return int(self._sum("tasks_rerun"))
-
-    @property
-    def duplicate_results(self) -> int:
-        return int(self._sum("duplicate_results"))
-
-    @property
-    def partitions_detected(self) -> int:
-        return int(self._sum("partitions_detected"))
-
-    @property
-    def workers_declared_lost(self) -> int:
-        return int(self._sum("workers_declared_lost"))
-
-    @property
-    def tasks_evacuated(self) -> int:
-        return int(self._sum("tasks_evacuated"))
-
-    @property
-    def migrations_accepted(self) -> int:
-        return int(self._sum("migrations_accepted"))
-
-    @property
-    def migrations_stale(self) -> int:
-        return int(self._sum("migrations_stale"))
-
-    @property
-    def tasks_rehomed(self) -> int:
-        """Tasks adopted from dead shards by failover (sum of the
-        per-shard ``tasks_rehomed_in`` intake counters)."""
-        return int(self._sum("tasks_rehomed_in"))
+    def counts(self) -> DispatchCounts:
+        """The shards' counter blocks summed field by field in shard
+        order, crashed and retired shards included."""
+        return sum_blocks([s.counts for s in self.shards])
 
     # ---------------------------------------------------- recovery markers
     @property
@@ -726,6 +623,24 @@ class FailoverConfig:
     rebalance_interval_s: Optional[float] = 15.0
 
 
+@dataclass(slots=True)
+class FailoverCounts:
+    """The event counts of one :class:`FailoverCoordinator`; a registry
+    passed to it exports each field as ``shard_<field>_total``."""
+
+    #: Dead shards actually failed over (grace expired, work moved).
+    failovers: int = 0
+    #: Tasks re-homed across all failovers (queued + in-flight).
+    tasks_rehomed: int = 0
+    #: Stranded workers re-pointed at survivor shards.
+    workers_reattached: int = 0
+    #: Grace expiries that found no survivor to re-home onto (each
+    #: re-arms the timer for another grace period).
+    failovers_aborted: int = 0
+    #: Queued tasks moved off starved shards by the rebalance tick.
+    tasks_rebalanced: int = 0
+
+
 class FailoverCoordinator:
     """Re-homes a dead shard's stranded work onto the survivors.
 
@@ -766,40 +681,21 @@ class FailoverCoordinator:
         config: Optional[FailoverConfig] = None,
         *,
         tracer=None,
-        metrics=None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.engine = engine
         self.foreman = foreman
         self.config = config if config is not None else FailoverConfig()
         self.tracer = tracer
-        #: Dead shards actually failed over (grace expired, work moved).
-        self.failovers = 0
-        #: Tasks re-homed across all failovers (queued + in-flight).
-        self.tasks_rehomed = 0
-        #: Stranded workers re-pointed at survivor shards.
-        self.workers_reattached = 0
-        #: Grace expiries that found no survivor to re-home onto (each
-        #: re-arms the timer for another grace period).
-        self.failovers_aborted = 0
-        #: Queued tasks moved off starved shards by the rebalance tick.
-        self.tasks_rebalanced = 0
+        self.counts = FailoverCounts()
+        if metrics is not None:
+            metrics.register_block("shard", self.counts)
         self._stopped = False
         #: Per-shard crash token; recovery or a fresh crash bumps it so
         #: a stale grace timer no-ops (the transient-crash distinction).
         self._tokens: Dict[int, int] = {}
         #: Worker snapshot per crashed shard (taken pre-wipe).
         self._stranded: Dict[int, List[Worker]] = {}
-        self._c_failovers = None
-        self._c_rehomed = None
-        if metrics is not None:
-            self._c_failovers = metrics.counter(
-                "shard_failovers_total",
-                "Dead shards whose recoverable work was re-homed",
-            )
-            self._c_rehomed = metrics.counter(
-                "tasks_rehomed_total",
-                "Tasks moved off dead shards onto survivors",
-            )
         foreman.add_shard_crash_listener(self._shard_crashed)
         foreman.add_shard_recover_listener(self._shard_recovered)
         if self.config.rebalance_interval_s is not None:
@@ -874,7 +770,7 @@ class FailoverCoordinator:
                 dst = targets[cursor % len(targets)]
                 cursor += 1
                 if self.foreman.transfer_queued(task, dst):
-                    self.tasks_rebalanced += 1
+                    self.counts.tasks_rebalanced += 1
         if self.tracer is not None and self.tracer.enabled and cursor:
             self.tracer.emit(
                 "wq",
@@ -902,7 +798,7 @@ class FailoverCoordinator:
             # survivors come back through their own journal replay, which
             # tells the coordinator nothing, so re-arm the same timer —
             # a shard that recovers meanwhile still voids it via the token.
-            self.failovers_aborted += 1
+            self.counts.failovers_aborted += 1
             if not self._stopped:
                 self.engine.call_in(
                     self.config.grace_s, self._grace_expired, i, token
@@ -968,18 +864,14 @@ class FailoverCoordinator:
         for worker, slot in reattach:
             _, dst = survivors[slot]
             worker.master = dst
-            self.workers_reattached += 1
+            self.counts.workers_reattached += 1
             # The worker's own backoff poll would find the new master
             # within RECONNECT_MAX_S; the nudge just reconnects it now.
             # A concurrent stale poll sees ``_detached`` False and drops.
             self.engine.call_in(0.0, worker._try_reconnect)
         self.foreman.retire_shard(i, survivors[0][0])
-        self.failovers += 1
-        self.tasks_rehomed += rehomed
-        if self._c_failovers is not None:
-            self._c_failovers.inc()
-        if self._c_rehomed is not None and rehomed:
-            self._c_rehomed.inc(rehomed)
+        self.counts.failovers += 1
+        self.counts.tasks_rehomed += rehomed
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(
                 "wq",

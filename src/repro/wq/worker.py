@@ -42,7 +42,9 @@ class WorkerState(enum.Enum):
 class _TaskRun:
     """Book-keeping for one task in flight on this worker."""
 
-    __slots__ = ("task", "allocation", "transfers", "pending_inputs", "exec_event")
+    __slots__ = (
+        "task", "allocation", "transfers", "pending_inputs", "exec_event", "attempt"
+    )
 
     def __init__(self, task: Task, allocation: ResourceVector):
         self.task = task
@@ -52,6 +54,16 @@ class _TaskRun:
         #: Input files (own or joined single-flight) still in flight.
         self.pending_inputs = 0
         self.exec_event: Optional[ScheduledEvent] = None
+        #: The task's attempt number when this run was assigned.
+        self.attempt = task.attempts
+
+    @property
+    def current(self) -> bool:
+        """False once the master requeued the task under a new attempt
+        (say, after declaring this worker lost): such a stale run keeps
+        executing but must not write the shared :class:`Task` fields,
+        which the canonical attempt owns and the master decides on."""
+        return self.attempt == self.task.attempts
 
 
 class Worker:
@@ -265,7 +277,8 @@ class Worker:
                     self.master.link.cancel(transfer)
             if run.exec_event is not None:
                 run.exec_event.cancel()
-            run.task.state = TaskState.FAILED
+            if run.current:
+                run.task.state = TaskState.FAILED
             self._release(run.task)
             lost.append(run.task)
         self.runs.clear()
@@ -442,9 +455,13 @@ class Worker:
 
     def _begin_execution(self, run: _TaskRun) -> None:
         task = run.task
-        task.state = TaskState.RUNNING
-        task.start_time = self.engine.now
-        task.payload_corrupt = False
+        # A stale run still executes and draws its fates (the seeded
+        # streams stay aligned) but writes nothing to the shared task.
+        current = run.current
+        if current:
+            task.state = TaskState.RUNNING
+            task.start_time = self.engine.now
+            task.payload_corrupt = False
         run.transfers.clear()
         # Resume from banked checkpoint progress: only the remaining
         # execute-seconds run here (the full execute_s when progress is
@@ -469,7 +486,8 @@ class Worker:
                     delay, self._execution_failed, run, fault
                 )
             else:  # fast-fake
-                task.payload_corrupt = True
+                if current:
+                    task.payload_corrupt = True
                 run.exec_event = self.engine.call_in(
                     delay, self._execution_done, run
                 )
@@ -484,7 +502,9 @@ class Worker:
         # The attempt will complete; draw whether its payload is
         # silently corrupted in flight (zero-cost when value faults
         # are off — the model consumes no variate then).
-        task.payload_corrupt = self.master.draw_result_corruption(task)
+        corrupt = self.master.draw_result_corruption(task)
+        if current:
+            task.payload_corrupt = corrupt
         run.exec_event = self.engine.call_in(remaining, self._execution_done, run)
 
     def _execution_failed(self, run: _TaskRun, fault) -> None:
@@ -494,7 +514,8 @@ class Worker:
         task = run.task
         run.exec_event = None
         self._drop_run(task)
-        task.state = TaskState.FAILED
+        if run.current:
+            task.state = TaskState.FAILED
         self.tasks_failed += 1
         if self._detached:
             # Nobody to report to; the recovered master's grace requeue
@@ -509,7 +530,8 @@ class Worker:
         if run.task.id not in self.runs:
             return
         task = run.task
-        task.state = TaskState.RETURNING
+        if run.current:
+            task.state = TaskState.RETURNING
         run.exec_event = None
         t = self.master.link.start_transfer(
             f"{self.name}:out:{task.id}",
@@ -543,7 +565,8 @@ class Worker:
         lost_s = max(0.0, elapsed - banked)
         if run.exec_event is not None:
             run.exec_event.cancel()
-        task.state = TaskState.MIGRATING  # paused: burns no CPU
+        if run.current:
+            task.state = TaskState.MIGRATING  # paused: burns no CPU
         run.exec_event = self.engine.call_in(
             spec.cost_s, self._checkpoint_cut, run, new_progress, lost_s, started_at
         )
@@ -561,7 +584,9 @@ class Worker:
         # Draw whether this snapshot is damaged in cut or transit; the
         # master's digest check on arrival decides whether to resume
         # from it (consumes nothing while value faults are off).
-        task.checkpoint_corrupt = self.master.draw_checkpoint_corruption(task)
+        corrupt = self.master.draw_checkpoint_corruption(task)
+        if run.current:
+            task.checkpoint_corrupt = corrupt
         t = self.master.link.start_transfer(
             f"{self.name}:ckpt:{task.id}",
             task.checkpoint.size_mb,

@@ -50,7 +50,7 @@ class TestOutage:
     def test_outage_counters_and_idempotence(self, engine, api):
         api.begin_outage()
         api.begin_outage()
-        assert api.api_outages == 1
+        assert api.counts.outages == 1
         assert not api.available
         api.end_outage()
         assert api.available

@@ -139,7 +139,7 @@ class TestChaos:
         victims = chaos.kill_node(pod.node)
         assert pod in victims
         assert pod.phase is PodPhase.FAILED
-        assert chaos.nodes_killed == 1
+        assert chaos.counts.nodes_killed == 1
 
     def test_min_pool_heals_after_crash(self, engine, rng, cluster):
         chaos = ChaosInjector(engine, cluster.api, rng)
@@ -168,12 +168,12 @@ class TestChaos:
         chaos = ChaosInjector(engine, cluster.api, rng)
         chaos.schedule_node_failures(100.0, start_after=50.0)
         engine.run(until=400.0)
-        killed_first = chaos.nodes_killed
+        killed_first = chaos.counts.nodes_killed
         assert killed_first >= 1
         chaos.stop()
-        before = chaos.nodes_killed
+        before = chaos.counts.nodes_killed
         engine.run(until=1000.0)
-        assert chaos.nodes_killed == before  # stop() halts the schedule
+        assert chaos.counts.nodes_killed == before  # stop() halts the schedule
 
     def test_invalid_interval_rejected(self, engine, rng, cluster):
         chaos = ChaosInjector(engine, cluster.api, rng)
@@ -192,8 +192,8 @@ class TestChaos:
         engine.run(until=30.0)
         node = pods[0].node
         victims = chaos.kill_node(node)
-        assert chaos.pods_killed == len(victims)
-        assert chaos.nodes_killed == 1
+        assert chaos.counts.pods_killed == len(victims)
+        assert chaos.counts.nodes_killed == 1
 
     def test_evict_pod_counts(self, engine, rng, cluster):
         chaos = ChaosInjector(engine, cluster.api, rng)
@@ -201,8 +201,8 @@ class TestChaos:
         cluster.api.create(pod)
         engine.run(until=30.0)
         chaos.evict_pod(pod)
-        assert chaos.pods_killed == 1
-        assert chaos.nodes_killed == 0
+        assert chaos.counts.pods_killed == 1
+        assert chaos.counts.nodes_killed == 0
 
 
 class TestScheduledPodEvictions:
@@ -243,11 +243,11 @@ class TestScheduledPodEvictions:
         self.make_pods(engine, cluster, n=4)
         chaos.schedule_pod_evictions(60.0, start_after=40.0)
         engine.run(until=400.0)
-        assert chaos.pods_killed >= 1
+        assert chaos.counts.pods_killed >= 1
         chaos.stop()
-        before = chaos.pods_killed
+        before = chaos.counts.pods_killed
         engine.run(until=1000.0)
-        assert chaos.pods_killed == before
+        assert chaos.counts.pods_killed == before
 
     def test_selector_limits_victims(self, engine, rng, cluster):
         chaos = ChaosInjector(engine, cluster.api, rng)
@@ -255,7 +255,7 @@ class TestScheduledPodEvictions:
         protected = self.make_pods(engine, cluster, n=2, app="m")
         chaos.schedule_pod_evictions(50.0, start_after=35.0, selector={"app": "w"})
         engine.run(until=600.0)
-        assert chaos.pods_killed >= 1
+        assert chaos.counts.pods_killed >= 1
         assert all(p.phase is PodPhase.RUNNING for p in protected)
         assert any(p.phase.terminal for p in workers)
 
@@ -292,7 +292,7 @@ class TestScheduledPodEvictions:
             chaos = ChaosInjector(eng, clu.api, reg)
             chaos.schedule_pod_evictions(60.0, start_after=40.0)
             eng.run(until=500.0)
-            return chaos.pods_killed, sorted(
+            return chaos.counts.pods_killed, sorted(
                 p.name for p in pods if p.phase.terminal
             )
 
@@ -324,7 +324,7 @@ class TestProvisioningFaultWindows:
         chaos = ChaosInjector(engine, cluster.api, rng, cloud=cluster.cloud)
         chaos.begin_boot_failures(1.0, duration_s=100.0)
         assert cluster.cloud.boot_failure_prob == 1.0
-        assert chaos.boot_failure_windows == 1
+        assert chaos.counts.boot_failure_windows == 1
         engine.run(until=150.0)
         assert cluster.cloud.boot_failure_prob == cluster.cloud.config.boot_failure_prob
 
@@ -342,7 +342,7 @@ class TestProvisioningFaultWindows:
         chaos = ChaosInjector(engine, cluster.api, rng, registry=cluster.registry)
         chaos.begin_image_pull_stall(3.0, duration_s=50.0)
         assert cluster.registry.stall_factor == 3.0
-        assert chaos.pull_stall_windows == 1
+        assert chaos.counts.pull_stall_windows == 1
         engine.run(until=80.0)
         assert cluster.registry.stall_factor == 1.0
 
@@ -417,10 +417,10 @@ class TestMasterFailoverUnderChaos:
 
         chaos = ChaosInjector(engine, cluster.api, RngRegistry(45))
         victims = chaos.kill_node(deployment.master_pod.node)
-        assert chaos.pods_killed == len(victims) >= 1
+        assert chaos.counts.pods_killed == len(victims) >= 1
         engine.run(until=45.0)
         assert not master.available
-        assert master.outages == 1
+        assert master.counts.outages == 1
 
         engine.run(until=4000.0)
         # Sticky replacement came back under the same ordinal identity...

@@ -6,12 +6,13 @@ import pytest
 
 from repro.forecast.scaler import PredictiveScaler, PredictiveScalerConfig
 from repro.sim.engine import Engine
+from repro.wq.dispatch import DispatchCounts
 from repro.wq.worker import WorkerState
 
 
 class StubMaster:
     def __init__(self):
-        self.tasks_submitted = 0
+        self.counts = DispatchCounts()
         self._backlog = 0
         self.waiting_cores = 0.0
         self.in_use_cores = 0.0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.forecast.series import DemandSample, DemandSeries, MasterDemandSampler
 from repro.sim.engine import Engine
+from repro.wq.dispatch import DispatchCounts
 
 
 class TestDemandSeries:
@@ -88,7 +89,7 @@ class StubMaster:
     """Just enough of the Master surface for the sampler."""
 
     def __init__(self):
-        self.tasks_submitted = 0
+        self.counts = DispatchCounts()
         self._backlog = 0
         self._waiting_cores = 0.0
         self._in_use_cores = 0.0
@@ -118,7 +119,7 @@ class TestMasterDemandSampler:
         engine = Engine()
         master = StubMaster()
         sampler = MasterDemandSampler(engine, master, interval_s=10.0)
-        master.tasks_submitted = 5
+        master.counts.tasks_submitted = 5
         master._backlog = 5
         master._waiting_cores = 5.0
         engine.run(until=25.0)
@@ -136,7 +137,7 @@ class TestMasterDemandSampler:
         master = StubMaster()
         sampler = MasterDemandSampler(engine, master, interval_s=10.0)
         engine.run(until=1.0)  # t=0 probe with zero submissions
-        master.tasks_submitted = 20
+        master.counts.tasks_submitted = 20
         engine.run(until=11.0)  # t=10 probe sees +20 over 10 s
         assert sampler.arrival_rate.latest == (10.0, 2.0)
         engine.run(until=21.0)  # no new arrivals: rate back to 0

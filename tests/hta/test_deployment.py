@@ -101,7 +101,7 @@ class TestFailover:
         chaos.kill_node(deployment.master_pod.node)
         engine.run(until=45.0)
         assert not master.available
-        assert master.outages == 1
+        assert master.counts.outages == 1
 
         engine.run(until=3000.0)
         assert master.available
@@ -128,7 +128,7 @@ class TestFailover:
         assert any(t.state is not TaskState.DONE for t in tasks)
         engine.run(until=3000.0)
         assert master.available
-        assert master.outages == 1
+        assert master.counts.outages == 1
         assert all(t.state is TaskState.DONE for t in tasks)
 
     def test_workflow_survives_master_restart_without_requeues(self, engine, stack):
@@ -143,5 +143,5 @@ class TestFailover:
         assert all(t.state is TaskState.DONE for t in tasks)
         # Tasks on surviving workers were never requeued: the persistent
         # volume + sticky identity preserved the queue (§V-A's point).
-        worker_tasks_requeued = master.tasks_requeued
+        worker_tasks_requeued = master.counts.tasks_requeued
         assert worker_tasks_requeued <= len(tasks)  # only co-located losses

@@ -66,7 +66,7 @@ class TestPodKills:
         provisioner.create_workers(1)  # replacement
         engine.run(until=2000.0)
         assert all(t.state is TaskState.DONE for t in tasks)
-        assert master.tasks_requeued >= 1
+        assert master.counts.tasks_requeued >= 1
 
     def test_no_task_runs_twice_concurrently(self, engine, stack):
         cluster, master, runtime, provisioner = stack
@@ -121,7 +121,7 @@ class TestDrainUnderLoad:
         provisioner.create_workers(2)
         engine.run(until=3000.0)
         assert all(t.state is TaskState.DONE for t in tasks)
-        assert master.tasks_requeued == 0  # drain is non-disruptive
+        assert master.counts.tasks_requeued == 0  # drain is non-disruptive
 
     def test_drained_pods_reach_succeeded_not_failed(self, engine, stack):
         cluster, master, runtime, provisioner = stack

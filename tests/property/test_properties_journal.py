@@ -67,7 +67,7 @@ class TestJournalReplayProperties:
             "done": [t.id for t in master.done],
             "abandoned": [t.id for t in master.abandoned],
             "attempts": {t.id: t.attempts for t in tasks},
-            "submitted": master.tasks_submitted,
+            "submitted": master.counts.tasks_submitted,
             "results": list(master.monitor.results),
             "stats": {c: master.monitor.category(c) for c in CATEGORIES},
             "delivered": set(master._delivered),
@@ -81,7 +81,7 @@ class TestJournalReplayProperties:
         assert [t.id for t in master.done] == pre["done"]
         assert [t.id for t in master.abandoned] == pre["abandoned"]
         assert {t.id: t.attempts for t in tasks} == pre["attempts"]
-        assert master.tasks_submitted == pre["submitted"]
+        assert master.counts.tasks_submitted == pre["submitted"]
         assert master._delivered == pre["delivered"]
         # The monitor was rebuilt from replayed completions: identical
         # results in identical order, identical per-category aggregates.
@@ -90,7 +90,7 @@ class TestJournalReplayProperties:
             assert master.monitor.category(category) == pre["stats"][category]
         # Completed work is never forgotten and never re-queued.
         assert not set(pre["done"]) & {t.id for t in master.queue}
-        assert master.tasks_rerun == 0
+        assert master.counts.tasks_rerun == 0
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

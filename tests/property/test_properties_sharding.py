@@ -65,7 +65,7 @@ def test_merged_journals_replay_to_the_foreman_aggregate(
     state = foreman.journal.replay()
     assert (
         len(state.completions) + len(state.ready) + len(state.unclaimed)
-        == foreman.tasks_submitted
+        == foreman.counts.tasks_submitted
         == len(tasks)
     )
     assert len(state.ready) == len(foreman.queue)

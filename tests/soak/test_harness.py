@@ -103,3 +103,11 @@ class TestFailureReporting:
     def test_config_no_flag_reaches_falls_back_to_the_library_call(self):
         config = SoakConfig(n_tasks=7)
         assert config.command(5) == f"run_soak(5, {config!r})"
+
+
+@pytest.mark.parametrize("seed", [33, 112])
+def test_integrity_soak_keeps_task_whose_stale_copy_finished_in_backoff(seed):
+    """A stale copy on a worker declared lost finishes while its task
+    waits out a retry backoff; the task must still resolve."""
+    report = run_soak(seed, SoakConfig.from_flags(smoke=True, integrity=True))
+    assert report.violations == [], report.describe()

@@ -189,7 +189,7 @@ class TestMigrationProtocol:
         assert host.migrate_out(task)
         engine.run(until=200.0)
         assert len(master.done) == 1
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         assert check_migration_protocol(master) == []
 
 

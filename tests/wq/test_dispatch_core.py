@@ -82,5 +82,5 @@ class TestBillableCores:
         elapsed = engine.now - task.start_time
         expected = elapsed * master._billable_cores(task)
         master.evacuate_worker(worker)
-        assert master.wasted_core_s == pytest.approx(expected)
-        assert master.wasted_core_s == pytest.approx(elapsed * FOOT.cores)
+        assert master.counts.wasted_core_s == pytest.approx(expected)
+        assert master.counts.wasted_core_s == pytest.approx(elapsed * FOOT.cores)

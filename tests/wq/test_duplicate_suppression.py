@@ -47,7 +47,7 @@ class TestDuplicateSuppression:
         # The same worker replays the delivery (e.g. held outputs after a
         # reconnect that raced the first delivery).
         master.task_finished(worker, task)
-        assert master.duplicate_results == 1
+        assert master.counts.duplicate_results == 1
         assert len(master.done) == 1
         assert len(master.monitor.results) == 1
         assert seen == [task.id]
@@ -70,7 +70,7 @@ class TestDuplicateSuppression:
         original = make_task(execute_s=28.0)
         master.submit(original)
         engine.run(until=engine.now + 22.0)
-        assert master.tasks_speculated == 1
+        assert master.counts.tasks_speculated == 1
         master.pause()
         engine.run(until=engine.now + 15.0)
         assert len(master._buffered_completions) == 2
@@ -96,7 +96,7 @@ class TestDuplicateSuppression:
         straggler = make_task(execute_s=500.0)
         master.submit(straggler)
         engine.run(until=engine.now + 200.0)
-        assert master.speculation_wins == 1
+        assert master.counts.speculation_wins == 1
         assert straggler.state is TaskState.DONE
         assert master.done.count(straggler) == 1
         stats = master.monitor.category("c")

@@ -167,8 +167,8 @@ class TestTransientRetries:
         engine.run(until=100.0)
         assert task.state is TaskState.DONE
         assert task.attempts == 1
-        assert master.tasks_failed == 1
-        assert master.tasks_requeued == 1
+        assert master.counts.tasks_failed == 1
+        assert master.counts.tasks_requeued == 1
         # Attempt 1 burned ~10 s, then 8 s backoff, then a clean 10 s run.
         assert task.finish_time >= 26.0
         assert master.all_done
@@ -188,10 +188,10 @@ class TestTransientRetries:
         engine.run(until=200.0)
         assert abandoned == [task]
         # Initial attempt + 2 retries, each failing.
-        assert master.tasks_failed == 3
-        assert master.tasks_requeued == 2
+        assert master.counts.tasks_failed == 3
+        assert master.counts.tasks_requeued == 2
         assert task.state is not TaskState.DONE
-        assert master.wasted_core_s == pytest.approx(3 * 5.0 * FOOT.cores)
+        assert master.counts.wasted_core_s == pytest.approx(3 * 5.0 * FOOT.cores)
 
     def test_waste_charged_for_failed_attempts(self, engine):
         fault = TaskFault(kind="transient", at_fraction=1.0)
@@ -205,7 +205,7 @@ class TestTransientRetries:
         master.submit(task)
         engine.run(until=200.0)
         assert task.state is TaskState.DONE
-        assert master.wasted_core_s == pytest.approx(20.0 * FOOT.cores)
+        assert master.counts.wasted_core_s == pytest.approx(20.0 * FOOT.cores)
         assert master.goodput_core_s() == pytest.approx(20.0 * FOOT.cores)
 
 
@@ -230,11 +230,11 @@ class TestExhaustionEscalation:
         engine.run(until=100.0)
         assert task.state is TaskState.DONE
         assert task.attempts == 1
-        assert master.tasks_exhausted == 1
-        assert master.escalations == 1
+        assert master.counts.tasks_exhausted == 1
+        assert master.counts.escalations == 1
         assert task.min_allocation == FOOT.scale(1.5)
         # The kill landed halfway through: 5 s of one core wasted.
-        assert master.wasted_core_s == pytest.approx(5.0 * FOOT.cores)
+        assert master.counts.wasted_core_s == pytest.approx(5.0 * FOOT.cores)
 
     def test_escalation_recorded_against_category(self, engine):
         master = self.make_exhausting_master(engine)
@@ -286,12 +286,12 @@ class TestSpeculation:
         engine.run(until=engine.now + 120.0)
         # The clone ran for the category mean (~10 s) and finished first.
         assert straggler.state is TaskState.DONE
-        assert master.tasks_speculated == 1
-        assert master.speculation_wins == 1
+        assert master.counts.tasks_speculated == 1
+        assert master.counts.speculation_wins == 1
         assert straggler.finish_time < 200.0  # far sooner than 500 s
         assert master.done.count(straggler) == 1
         # The straggling attempt was cancelled and charged as waste.
-        assert master.wasted_core_s > 0
+        assert master.counts.wasted_core_s > 0
         assert all(not w.runs for w in master.workers.values())
         assert master.all_done
 
@@ -304,9 +304,9 @@ class TestSpeculation:
         master.submit(original)
         engine.run(until=engine.now + 120.0)
         assert original.state is TaskState.DONE
-        assert master.tasks_speculated == 1
-        assert master.speculation_wins == 0
-        assert master.speculation_losses == 1
+        assert master.counts.tasks_speculated == 1
+        assert master.counts.speculation_wins == 0
+        assert master.counts.speculation_losses == 1
         assert master.done.count(original) == 1
         assert all(not w.runs for w in master.workers.values())
 
@@ -321,7 +321,7 @@ class TestSpeculation:
         master.submit(straggler)
         master.submit(waiting)
         engine.run(until=engine.now + 50.0)
-        assert master.tasks_speculated == 0
+        assert master.counts.tasks_speculated == 0
 
     def test_event_queue_drains_after_completion(self, engine):
         master = self.make_spec_master(engine)
@@ -338,15 +338,15 @@ class TestSpeculation:
         master.submit(straggler)
         # Run until the clone is live, then kill its worker.
         engine.run(until=engine.now + 22.0)
-        assert master.tasks_speculated == 1
+        assert master.counts.tasks_speculated == 1
         clone = master._spec[straggler.id]
         host = master._worker_running(clone)
         assert host is not None
-        requeued_before = master.tasks_requeued
+        requeued_before = master.counts.tasks_requeued
         host.kill()
         engine.run(until=engine.now + 5.0)
         # The copy died silently: nothing requeued, the original unbothered.
         assert clone.id not in master.running
-        assert master.tasks_requeued == requeued_before
+        assert master.counts.tasks_requeued == requeued_before
         assert straggler.state is TaskState.RUNNING
         assert straggler.id not in master._spec

@@ -149,13 +149,13 @@ class TestResultVerification:
         engine.run(until=100.0)
         assert task.state is TaskState.DONE
         assert task.attempts == 1
-        assert master.verify_fails == 1
-        assert master.corrupted_completes == 0
+        assert master.counts.verify_fails == 1
+        assert master.counts.corrupted_completes == 0
         assert master.done.count(task) == 1
         assert not task.payload_corrupt  # the clean rerun won
         # Attempt 1 burned ~10 s, then 8 s backoff, then a clean 10 s run.
         assert task.finish_time >= 26.0
-        assert master.wasted_core_s == pytest.approx(10.0 * FOOT.cores)
+        assert master.counts.wasted_core_s == pytest.approx(10.0 * FOOT.cores)
         assert master.clean_goodput_core_s() == master.goodput_core_s()
         assert "verify_fail" in [r.op for r in master.journal.records]
 
@@ -173,10 +173,10 @@ class TestResultVerification:
         master.submit(task)
         engine.run(until=200.0)
         assert abandoned == [task]
-        assert master.verify_fails == 3  # initial attempt + 2 retries
-        assert master.corrupted_completes == 0
+        assert master.counts.verify_fails == 3  # initial attempt + 2 retries
+        assert master.counts.corrupted_completes == 0
         assert task.state is not TaskState.DONE
-        assert master.wasted_core_s == pytest.approx(3 * 5.0 * FOOT.cores)
+        assert master.counts.wasted_core_s == pytest.approx(3 * 5.0 * FOOT.cores)
 
     def test_verify_fail_and_transient_share_the_attempt_budget(self, engine):
         """Retry-boundary satellite: attempts consumed by VERIFY_FAIL and
@@ -196,8 +196,8 @@ class TestResultVerification:
         # — landing exactly on the max_retries=2 boundary.
         assert task.state is TaskState.DONE
         assert task.attempts == 2
-        assert master.tasks_failed == 2
-        assert master.verify_fails == 1
+        assert master.counts.tasks_failed == 2
+        assert master.counts.verify_fails == 1
         assert master.abandoned == []
 
     def test_verification_off_lets_corruption_complete(self, engine):
@@ -211,8 +211,8 @@ class TestResultVerification:
         master.submit(task)
         engine.run(until=100.0)
         assert task.state is TaskState.DONE
-        assert master.verify_fails == 0
-        assert master.corrupted_completes == 1
+        assert master.counts.verify_fails == 0
+        assert master.counts.corrupted_completes == 1
         assert master.goodput_core_s() == pytest.approx(10.0 * FOOT.cores)
         assert master.clean_goodput_core_s() == pytest.approx(0.0)
 
@@ -225,9 +225,9 @@ class TestResultVerification:
         master.submit(task)
         engine.run(until=50.0)
         assert task.state is TaskState.DONE
-        assert master.verify_fails == 0
-        assert master.corrupted_completes == 0
-        assert master.quarantines == 0
+        assert master.counts.verify_fails == 0
+        assert master.counts.corrupted_completes == 0
+        assert master.counts.quarantines == 0
         assert not master.draw_result_corruption(task)
         assert not master.draw_checkpoint_corruption(task)
 
@@ -247,14 +247,14 @@ class TestCheckpointVerification:
         engine.run(until=start + 35.0)
         assert w.migrate_out(task)  # clean checkpoint: banks 30 s
         engine.run(until=engine.now + CKPT.cost_s + 1.0)
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         assert task.progress_s == 30.0
         resumed = run_until_running(engine, task, deadline=engine.now + 30.0)
         engine.run(until=resumed + 35.0)
         assert w.migrate_out(task)  # corrupted checkpoint: discarded
         engine.run(until=engine.now + CKPT.cost_s + 1.0)
-        assert master.checkpoint_verify_fails == 1
-        assert master.migrations_accepted == 1  # not banked
+        assert master.counts.checkpoint_verify_fails == 1
+        assert master.counts.migrations_accepted == 1  # not banked
         assert task.progress_s == 30.0  # last good progress preserved
         assert task.attempts == 0  # discard burns no attempt
         assert not task.checkpoint_corrupt
@@ -303,14 +303,14 @@ class TestSpeculationVerification:
         deadline = engine.now + 40.0
         while engine.now < deadline and not master._spec:
             engine.run(until=engine.now + 1.0)
-        assert master.tasks_speculated == 1
+        assert master.counts.tasks_speculated == 1
         assert original.id in master._spec  # clone in flight
         # The original finishes first — corrupted. The verify-fail must
         # take the clone down with it.
         engine.run(until=engine.now + 200.0)
-        assert master.verify_fails == 1
-        assert master.speculation_losses >= 1  # the cancelled clone
-        assert master.corrupted_completes == 0
+        assert master.counts.verify_fails == 1
+        assert master.counts.speculation_losses >= 1  # the cancelled clone
+        assert master.counts.corrupted_completes == 0
         assert original.state is TaskState.DONE
         assert master.done.count(original) == 1
         assert not master._spec
@@ -329,9 +329,9 @@ class TestSpeculationVerification:
         engine.run(until=engine.now + 700.0)
         # The corrupt clone's "win" was rejected (a later clean clone or
         # the original itself may still finish the task).
-        assert master.tasks_speculated >= 1
-        assert master.verify_fails == 1
-        assert master.corrupted_completes == 0
+        assert master.counts.tasks_speculated >= 1
+        assert master.counts.verify_fails == 1
+        assert master.counts.corrupted_completes == 0
         assert straggler.state is TaskState.DONE
         assert master.done.count(straggler) == 1
         assert master.all_done
@@ -352,7 +352,7 @@ class TestBlackHoleQuarantine:
         master.submit_many(tasks)
         engine.run(until=100.0)
         assert bh.quarantined
-        assert master.quarantines == 1
+        assert master.counts.quarantines == 1
         assert master.health.state("bh") is WorkerHealth.QUARANTINED
         assert not bh.runs  # evacuated, nothing re-dispatched to it
         assert all(t.state is TaskState.DONE for t in tasks)
@@ -378,9 +378,9 @@ class TestBlackHoleQuarantine:
         tasks = [make_task(execute_s=10.0) for _ in range(6)]
         master.submit_many(tasks)
         engine.run(until=200.0)
-        assert master.corrupted_completes == 0
-        assert master.verify_fails >= 2
-        assert master.quarantines == 1
+        assert master.counts.corrupted_completes == 0
+        assert master.counts.verify_fails >= 2
+        assert master.counts.quarantines == 1
         assert bh.quarantined
         assert all(t.state is TaskState.DONE for t in tasks)
         assert all(master.done.count(t) == 1 for t in tasks)
@@ -406,7 +406,7 @@ class TestBlackHoleQuarantine:
         engine.run(until=quarantined_at_least_until + 120.0)
         # Probation re-admitted it and nothing failed since.
         assert not bh.quarantined
-        assert master.unquarantines == 1
+        assert master.counts.unquarantines == 1
         late = make_task(execute_s=10.0)
         master.submit(late)
         engine.run(until=engine.now + 60.0)
@@ -429,8 +429,8 @@ class TestBlackHoleQuarantine:
         tasks = [make_task(execute_s=30.0) for _ in range(8)]
         master.submit_many(tasks)
         engine.run(until=400.0)
-        assert master.quarantines >= 2  # initial + at least one relapse
-        assert master.unquarantines >= 1
+        assert master.counts.quarantines >= 2  # initial + at least one relapse
+        assert master.counts.unquarantines >= 1
         assert all(t.state is TaskState.DONE for t in tasks)
         # Strict alternation: never two quarantines (or unquarantines)
         # in a row for the same worker.
@@ -459,15 +459,15 @@ class TestPoisonTaskIsolation:
         task = make_task(category="bad", execute_s=10.0)
         master.submit(task)
         engine.run(until=15.0)  # attempt 1 failed on then-healthy w1
-        assert master.tasks_poisoned == 0
+        assert master.counts.tasks_poisoned == 0
         w1.kill()  # force the retry onto a second distinct worker
         Worker(engine, master, "w2", BIG, connect_latency=1.0)
         engine.run(until=100.0)
         # Two distinct healthy workers failed it: poison verdict.
-        assert master.tasks_poisoned == 1
+        assert master.counts.tasks_poisoned == 1
         assert abandoned == [task]
         assert task in master.abandoned
-        assert master.escalations >= 1  # exhaustion-style escalation
+        assert master.counts.escalations >= 1  # exhaustion-style escalation
         assert task.min_allocation is not None
         assert "escalate" in [r.op for r in master.journal.records]
         # Isolated: a fresh worker never picks it back up.
@@ -490,10 +490,10 @@ class TestPoisonTaskIsolation:
         w1.kill()
         Worker(engine, master, "w2", BIG, connect_latency=1.0)
         engine.run(until=200.0)
-        assert master.tasks_poisoned == 1
+        assert master.counts.tasks_poisoned == 1
         assert all(t.state is TaskState.DONE for t in good)
         # The workers that failed the poison task were never blamed.
-        assert master.quarantines == 0
+        assert master.counts.quarantines == 0
 
 
 class TestQuarantineRejection:
@@ -516,7 +516,7 @@ class TestQuarantineRejection:
         # evacuation cannot reach the already-finished run — only the
         # delivery-time rejection can.
         master._quarantine_worker(w1)
-        assert master.quarantines == 1
+        assert master.counts.quarantines == 1
         Worker(engine, master, "w2", BIG, connect_latency=1.0)
         engine.run(until=engine.now + 10.0)
         assert task.state is not TaskState.DONE  # result still held
@@ -524,7 +524,7 @@ class TestQuarantineRejection:
         # rejected exactly once and the task requeues to a clean worker.
         w1.heal()
         engine.run(until=engine.now + 60.0)
-        assert master.quarantined_rejected == 1
+        assert master.counts.quarantined_rejected == 1
         assert task.state is TaskState.DONE
         assert master.done.count(task) == 1  # exactly once, on w2
         assert master.all_done

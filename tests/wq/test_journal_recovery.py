@@ -82,11 +82,11 @@ class TestCrashRecovery:
         master.crash()
         assert master.crashed
         assert not master.available
-        assert master.crashes == 1
+        assert master.counts.crashes == 1
         assert not master.queue and not master.running and not master.done
         assert not master.all_done  # a crashed master is not "finished"
         master.crash()  # idempotent
-        assert master.crashes == 1
+        assert master.counts.crashes == 1
         del tasks
 
     def test_journal_recovery_never_reruns_completed_work(self, engine):
@@ -97,7 +97,7 @@ class TestCrashRecovery:
         engine.run(until=300.0)
         assert all(t.state is TaskState.DONE for t in tasks)
         assert len(master.done) == len(tasks)
-        assert master.tasks_rerun == 0
+        assert master.counts.tasks_rerun == 0
         # The monitor was rebuilt from the journal: one result per task.
         assert len(master.monitor.results) == len(tasks)
         assert len(master.done) >= done_before
@@ -119,8 +119,8 @@ class TestCrashRecovery:
         assert worker.state is WorkerState.READY
         # The in-flight attempts were adopted, not re-run: each task
         # executed exactly once.
-        assert master.tasks_rerun == 0
-        assert master.duplicate_results == 0
+        assert master.counts.tasks_rerun == 0
+        assert master.counts.duplicate_results == 0
         assert all(t.state is TaskState.DONE for t in tasks)
         assert all(t.attempts == 0 for t in tasks)
 
@@ -137,7 +137,7 @@ class TestCrashRecovery:
         assert worker._held_results  # outputs held locally
         engine.run(until=200.0)
         assert task.state is TaskState.DONE
-        assert master.tasks_rerun == 0
+        assert master.counts.tasks_rerun == 0
 
     def test_grace_window_requeues_tasks_of_dead_workers(self, engine):
         master = make_master(engine, recovery_grace_s=45.0)
@@ -162,7 +162,7 @@ class TestCrashRecovery:
         master.crash(restart_delay_s=5.0)
         engine.run(until=400.0)
         assert all(t.state is TaskState.DONE for t in tasks)
-        assert master.tasks_rerun >= done_before
+        assert master.counts.tasks_rerun >= done_before
         assert len(master.done) == len(tasks)
 
     def test_retry_counts_survive_replay(self, engine):

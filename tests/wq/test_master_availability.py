@@ -75,16 +75,16 @@ class TestPauseResume:
     def test_outage_counter(self, engine, master):
         master.pause()
         master.pause()  # idempotent while down
-        assert master.outages == 1
+        assert master.counts.outages == 1
         master.resume()
         master.resume()  # idempotent while up
         master.pause()
-        assert master.outages == 2
+        assert master.counts.outages == 2
 
     def test_start_unavailable_counts_no_outage(self, engine):
         m = Master(engine, Link(engine, 10.0), start_available=False)
         assert not m.available
-        assert m.outages == 0
+        assert m.counts.outages == 0
         m.resume()
         assert m.available
 

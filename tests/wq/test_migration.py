@@ -99,11 +99,11 @@ class TestHandshake:
         # Paused: a migrating run burns no CPU while it snapshots.
         assert task.current_cpu_cores() == 0.0
         engine.run(until=engine.now + SPEC.cost_s + 1.0)  # cut + ship
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         assert task.progress_s == banked
         assert task.attempts == 0  # migration is voluntary, no retry burned
         # Only the unbanked tail was charged as waste.
-        assert master.wasted_core_s == pytest.approx(
+        assert master.counts.wasted_core_s == pytest.approx(
             (elapsed - banked) * FOOT.cores
         )
         # Resume: remaining work is 70 s, not 100 s.
@@ -142,9 +142,9 @@ class TestHandshake:
         engine.run(until=start + 5.0)  # < interval_s
         assert w.migrate_out(task)
         engine.run(until=engine.now + SPEC.cost_s + 1.0)
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         assert task.progress_s == 0.0
-        assert master.wasted_core_s == pytest.approx(5.0 * FOOT.cores)
+        assert master.counts.wasted_core_s == pytest.approx(5.0 * FOOT.cores)
 
     def test_kill_mid_snapshot_degrades_to_worker_lost(self, engine):
         """The worker dies between cut and ship: the checkpoint is lost
@@ -158,7 +158,7 @@ class TestHandshake:
         engine.run(until=start + 15.0)
         assert w.migrate_out(task)
         w.kill()
-        assert master.migrations_accepted == 0
+        assert master.counts.migrations_accepted == 0
         assert task.progress_s == 0.0
         assert task.attempts == 1  # a kill is a failure, not a migration
         Worker(engine, master, "w2", CAP, connect_latency=1.0)
@@ -180,10 +180,10 @@ class TestAtMostOnce:
         engine.run(until=start + 12.0)
         assert w.migrate_out(task)
         engine.run(until=engine.now + SPEC.cost_s + 1.0)
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         records_before = len(master.journal)
         assert not master.migration_arrived(w, task, 50.0, 0.0)
-        assert master.migrations_stale == 1
+        assert master.counts.migrations_stale == 1
         assert task.progress_s == 10.0  # untouched by the duplicate
         assert len(master.journal) == records_before
 
@@ -199,14 +199,14 @@ class TestAtMostOnce:
         engine.run(until=start + 12.0)
         assert w1.migrate_out(task)
         engine.run(until=engine.now + SPEC.cost_s + 1.0)
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         # The task resumed (same worker — it never drained).
         run_until_running(engine, task, deadline=engine.now + 30.0)
         host = next(w for w in master.workers.values() if task.id in w.runs)
         w_other = Worker(engine, master, "w_other", CAP, connect_latency=1.0)
         engine.run(until=engine.now + 2.0)
         assert not master.migration_arrived(w_other, task, 90.0, 0.0)
-        assert master.migrations_stale == 1
+        assert master.counts.migrations_stale == 1
         assert task.id in host.runs  # live run untouched
         engine.run(until=engine.now + 150.0)
         assert sum(1 for t in master.done if t.id == task.id) == 1
@@ -232,17 +232,17 @@ class TestSpeculationInterplay:
         straggler = make_task(execute_s=500.0, checkpoint=CheckpointSpec(5.0, 1.0, 10.0))
         master.submit(straggler)
         deadline = engine.now + 120.0
-        while engine.now < deadline and master.tasks_speculated == 0:
+        while engine.now < deadline and master.counts.tasks_speculated == 0:
             engine.run(until=engine.now + 1.0)
-        assert master.tasks_speculated == 1
+        assert master.counts.tasks_speculated == 1
         assert straggler.id in master._spec
         host = next(w for w in master.workers.values() if straggler.id in w.runs)
         assert host.migrate_out(straggler)
         engine.run(until=engine.now + 2.5)  # cut (1 s) + ship (~0.1 s)
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         # The clone was cancelled with the acceptance.
         assert straggler.id not in master._spec
-        assert master.speculation_wins == 0
+        assert master.counts.speculation_wins == 0
         engine.run(until=engine.now + 600.0)
         assert straggler.state is TaskState.DONE
         assert sum(1 for t in master.done if t.id == straggler.id) == 1
@@ -272,7 +272,7 @@ class TestCoordinatorPolicies:
         assert len(self.migrating(tasks)) == 3
         engine.run(until=engine.now + 30.0)
         assert coord.migrations_completed == 3
-        assert master.migrations_accepted == 3
+        assert master.counts.migrations_accepted == 3
 
     def test_fluid_snapshots_one_at_a_time(self, engine):
         master, w, coord, tasks = self.setup_drain(
@@ -308,8 +308,8 @@ class TestCoordinatorPolicies:
         # Budget below even one checkpoint's estimate.
         assert coord.drain_worker(w, reason="preemption", deadline_s=0.5) == 0
         assert coord.migration_fallbacks == 3
-        assert master.tasks_evacuated == 3
-        assert master.migrations_accepted == 0
+        assert master.counts.tasks_evacuated == 3
+        assert master.counts.migrations_accepted == 0
         assert all(t.progress_s == 0.0 for t in tasks)
 
     def test_fluid_budget_accounts_for_queueing_ahead(self, engine):
@@ -323,7 +323,7 @@ class TestCoordinatorPolicies:
             w, reason="scale_down", deadline_s=estimate * 1.5
         ) == 1
         assert coord.migration_fallbacks == 2
-        assert master.tasks_evacuated == 2
+        assert master.counts.tasks_evacuated == 2
 
     def test_worker_death_mid_drain_aborts_cleanly(self, engine):
         master, w, coord, tasks = self.setup_drain(

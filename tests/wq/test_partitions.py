@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.wq.estimator import DeclaredResourceEstimator
+from repro.wq.faults import BlackHoleProfile, RetryPolicy
 from repro.wq.link import Link
 from repro.wq.master import Master
 from repro.wq.migration import CheckpointSpec
@@ -63,7 +64,7 @@ class TestReconnectBoundaries:
         assert not w.partitioned
         assert w.reconnects == 1
         assert task.id in w.runs
-        assert master.tasks_requeued == 0
+        assert master.counts.tasks_requeued == 0
         engine.run(until=200.0)
         assert task.state is TaskState.DONE
         assert task.attempts == 0
@@ -88,8 +89,8 @@ class TestReconnectBoundaries:
         engine.run(until=10.0 + 60.0 + 1.0)  # first post-heal poll
         assert w.reconnects == 1
         assert task.id in w.runs
-        assert master.tasks_requeued == 0
-        assert master.workers_declared_lost == 0
+        assert master.counts.tasks_requeued == 0
+        assert master.counts.workers_declared_lost == 0
         engine.run(until=400.0)
         assert task.state is TaskState.DONE
         assert task.attempts == 0
@@ -113,8 +114,8 @@ class TestReconnectBoundaries:
             engine, master, w1, duration_s=master.liveness_timeout_s + 60.0
         )
         engine.run(until=10.0 + master.liveness_timeout_s + 1.0)
-        assert master.workers_declared_lost == 1
-        assert master.tasks_requeued == 1
+        assert master.counts.workers_declared_lost == 1
+        assert master.counts.tasks_requeued == 1
         assert t_long.attempts == 1  # a declared loss burns a retry
         assert "w1" not in master.workers
         # The other worker's run was untouched.
@@ -178,8 +179,8 @@ class TestPartitionResultDelivery:
         assert not w.runs
         assert w.unfinished_task_ids() == {t_run.id, t_held.id}
         engine.run(until=5.0 + master.liveness_timeout_s + 1.0)
-        assert master.workers_declared_lost == 1
-        assert master.tasks_requeued == 2
+        assert master.counts.workers_declared_lost == 1
+        assert master.counts.tasks_requeued == 2
         assert not master.running  # nothing stranded
         # A replacement worker finishes both.
         add_worker(engine, master, "w2")
@@ -223,10 +224,10 @@ class TestPartitionedMigration:
         begin_partition(engine, master, w, duration_s=30.0)
         engine.run(until=engine.now + 5.0)  # ship lands while detached
         assert [t.id for t, _p, _l, _s in w._held_migrations] == [task.id]
-        assert master.migrations_accepted == 0
+        assert master.counts.migrations_accepted == 0
         engine.run(until=engine.now + 60.0)  # heal + reconnect poll
         assert not w.partitioned
-        assert master.migrations_accepted == 1
+        assert master.counts.migrations_accepted == 1
         assert not w._held_migrations
         assert task.progress_s == 20.0
         assert task.attempts == 0  # no retry burned across the partition
@@ -249,11 +250,11 @@ class TestPartitionedMigration:
         assert [t.id for t, _p, _l, _s in w1._held_migrations] == [task.id]
         add_worker(engine, master, "w2")
         engine.run(until=engine.now + master.liveness_timeout_s + 5.0)
-        assert master.workers_declared_lost == 1
+        assert master.counts.workers_declared_lost == 1
         assert task.attempts == 1  # liveness expiry burned a retry
         engine.run(until=engine.now + 120.0)  # heal + reconnect delivery
-        assert master.migrations_stale == 1
-        assert master.migrations_accepted == 0
+        assert master.counts.migrations_stale == 1
+        assert master.counts.migrations_accepted == 0
         assert task.progress_s == 0.0  # the stale snapshot banked nothing
         engine.run(until=engine.now + 600.0)
         assert task.state is TaskState.DONE
@@ -276,7 +277,7 @@ class TestStaleRunSuppression:
         # Declared lost at ~t=95; a fresh worker picks the requeue up.
         add_worker(engine, master, "w2")
         engine.run(until=5.0 + master.liveness_timeout_s + 5.0)
-        assert master.workers_declared_lost == 1
+        assert master.counts.workers_declared_lost == 1
         w2 = master.workers["w2"]
         assert task.id in w2.runs
         # Heal: w1 reconnects with its stale copy still executing.
@@ -287,3 +288,25 @@ class TestStaleRunSuppression:
         engine.run(until=1000.0)
         assert task.state is TaskState.DONE
         assert sum(1 for t in master.done if t.id == task.id) == 1
+
+    def test_stale_copy_finishing_in_backoff_leaves_task_waiting(self, engine, master):
+        """A task declared lost on a partitioned worker fails again
+        elsewhere and backs off; its stale copy finishing meanwhile must
+        not write the task's state, which the backoff requeue reads."""
+        master.retry_policy = RetryPolicy(base_backoff_s=100.0, max_backoff_s=1000.0)
+        w1 = add_worker(engine, master, "w1")
+        task = make_task(execute_s=200.0, declared=CAP)
+        master.submit(task)
+        engine.run(until=5.0)
+        begin_partition(engine, master, w1, duration_s=10_000.0)
+        w2 = add_worker(engine, master, "w2")
+        w2.black_hole = BlackHoleProfile(latency_s=1.0)
+        # Lost at t=95, failed on w2 at t=96, backing off until t=296;
+        # the stale copy on w1 finishes at t=201.
+        engine.run(until=150.0)
+        assert master.counts.workers_declared_lost == master.counts.tasks_failed == 1
+        w2.black_hole = None
+        engine.run(until=250.0)
+        assert task.state is TaskState.WAITING
+        engine.run(until=1000.0)
+        assert [t.id for t in master.done] == [task.id]

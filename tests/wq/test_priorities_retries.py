@@ -116,7 +116,7 @@ class TestRetriesAndAbandonment:
             w.kill()
             assert abandoned == []
         assert task.attempts == 2
-        assert master.tasks_requeued == 2
+        assert master.counts.tasks_requeued == 2
         assert task in master.waiting_tasks()
         # Loss 3 crosses the boundary: abandoned exactly once.
         w = one_slot_worker(engine, master, "w2")
@@ -124,7 +124,7 @@ class TestRetriesAndAbandonment:
         w.kill()
         assert abandoned == [task]
         assert master.abandoned == [task]
-        assert master.tasks_requeued == 2  # the final loss did not requeue
+        assert master.counts.tasks_requeued == 2  # the final loss did not requeue
         assert task not in master.waiting_tasks()
         # A fresh worker must not pick the abandoned task back up.
         one_slot_worker(engine, master, "fresh")

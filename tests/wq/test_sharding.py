@@ -122,14 +122,14 @@ class TestAggregation:
         tasks = [make_task(execute_s=5.0) for _ in range(16)]
         foreman.submit_many(tasks)
         engine.run(until=9.0)  # mid-flight: some done, some queued/running
-        assert a.tasks_submitted > 0 and b.tasks_submitted > 0  # both used
+        assert a.counts.tasks_submitted > 0 and b.counts.tasks_submitted > 0  # both used
         stats = foreman.stats()
         sa, sb = a.stats(), b.stats()
         assert stats.done == sa.done + sb.done
         assert stats.waiting == sa.waiting + sb.waiting
         assert stats.running == sa.running + sb.running
         assert stats.workers_connected == 2
-        assert foreman.tasks_submitted == len(tasks)
+        assert foreman.counts.tasks_submitted == len(tasks)
         assert len(foreman.queue) == len(a.queue) + len(b.queue)
         assert len(foreman.done) == len(a.done) + len(b.done)
         engine.run(until=200.0)
@@ -178,7 +178,7 @@ class TestCrossShardTransfer:
         # with A's only worker gone the requeued task cannot bounce back
         # onto shard A before the foreman moves it.
         engine.run(until=engine.now + SPEC.cost_s + 1.0)  # cut + ship
-        assert a.migrations_accepted == 1
+        assert a.counts.migrations_accepted == 1
         assert task.progress_s == banked
         # The foreman moves the checkpointed task across the boundary.
         assert foreman.transfer_queued(task, b)
@@ -304,8 +304,8 @@ class TestFailoverEdges:
         assert len(b.queue) == 0
         assert task.state is not TaskState.DONE
         engine.run(until=5.0 + 30.0 + 1.0)  # grace expires -> failover
-        assert coordinator.failovers == 1
-        assert coordinator.tasks_rehomed == 1
+        assert coordinator.counts.failovers == 1
+        assert coordinator.counts.tasks_rehomed == 1
         engine.run(until=120.0)
         assert task.state is TaskState.DONE
         assert [t.id for t in foreman.done] == [task.id]
@@ -324,8 +324,8 @@ class TestFailoverEdges:
             b.submit(task)  # B has no workers: all 8 stay queued
         foreman.crash_shard(1)
         engine.run(until=11.0)
-        assert coordinator.failovers == 1
-        assert coordinator.tasks_rehomed == 8
+        assert coordinator.counts.failovers == 1
+        assert coordinator.counts.tasks_rehomed == 8
         foreman.recover_shard(1)
         # Replay folded the FAILOVER_OUT records: B rejoins empty.
         assert len(b.queue) == 0 and not b._unclaimed
@@ -334,9 +334,9 @@ class TestFailoverEdges:
             b.submit(task)
         foreman.crash_shard(1)
         engine.run(until=engine.now + 11.0)
-        assert coordinator.failovers == 2
+        assert coordinator.counts.failovers == 2
         # Second replay surfaced only the second generation's tasks.
-        assert coordinator.tasks_rehomed == 12
+        assert coordinator.counts.tasks_rehomed == 12
         engine.run(until=engine.now + 120.0)
         assert foreman.all_done
         assert all(t.state is TaskState.DONE for t in first + second)
@@ -357,8 +357,8 @@ class TestFailoverEdges:
             b.submit(task)
         foreman.crash_shard(1)
         engine.run(until=12.0)
-        assert coordinator.failovers == 1
-        assert coordinator.tasks_rehomed == 6
+        assert coordinator.counts.failovers == 1
+        assert coordinator.counts.tasks_rehomed == 6
         foreman.recover_shard(1)
         assert len(b.queue) == 0 and not b._unclaimed
         assert not foreman.degraded
@@ -390,11 +390,11 @@ class TestFailoverEdges:
         engine.run(until=5.0)
         foreman.crash(restart_delay_s=8.0)  # A back at t=13
         engine.run(until=11.0)  # B's grace expired with A still down
-        assert coordinator.failovers_aborted == 1
-        assert coordinator.failovers == 0
+        assert coordinator.counts.failovers_aborted == 1
+        assert coordinator.counts.failovers == 0
         engine.run(until=21.0)  # the re-armed timer finds A up
-        assert coordinator.failovers == 1
-        assert coordinator.tasks_rehomed == 5
+        assert coordinator.counts.failovers == 1
+        assert coordinator.counts.tasks_rehomed == 5
         engine.run(until=200.0)
         assert foreman.all_done
         assert all(t.state is TaskState.DONE for t in tasks)
@@ -410,11 +410,11 @@ class TestFailoverEdges:
         foreman.crash_shard(1)
         foreman.crash(restart_delay_s=30.0)
         engine.run(until=11.0)
-        assert coordinator.failovers_aborted == 1
+        assert coordinator.counts.failovers_aborted == 1
         foreman.recover_shard(1)
         engine.run(until=60.0)
-        assert coordinator.failovers == 0
-        assert coordinator.failovers_aborted == 1
+        assert coordinator.counts.failovers == 0
+        assert coordinator.counts.failovers_aborted == 1
         assert len(b.queue) == 1
 
     def test_transferred_task_failed_over_again_leaves_the_shards_replay(
@@ -435,7 +435,7 @@ class TestFailoverEdges:
         assert task.state is TaskState.RUNNING
         foreman.crash_shard(1)
         engine.run(until=16.0)
-        assert coordinator.failovers == 1
+        assert coordinator.counts.failovers == 1
         replayed = b.journal.replay()
         assert task not in replayed.ready and task.id not in replayed.unclaimed
         foreman.recover_shard(1)
@@ -461,8 +461,8 @@ class TestFailoverEdges:
         assert not b.crashed and "wb" not in b.workers
         foreman.crash_shard(1)  # permanent
         engine.run(until=20.0)
-        assert coordinator.failovers == 1
-        assert coordinator.workers_reattached == 1
+        assert coordinator.counts.failovers == 1
+        assert coordinator.counts.workers_reattached == 1
         assert wb.master is a and a.workers.get("wb") is wb
         wb.drain()
         engine.run(until=30.0)
@@ -488,7 +488,7 @@ class TestFailoverEdges:
         assert foreman.transfer_queued(task, b)
         wa.heal()
         engine.run(until=400.0)
-        assert a.duplicate_results == 1
+        assert a.counts.duplicate_results == 1
         assert [t.id for t in foreman.done] == [task.id]
         assert [t.id for t in b.done] == [task.id]
         assert check_journal_replay(foreman) == []

@@ -177,7 +177,7 @@ class TestDrainAndKill:
         w.kill()
         assert task.state is TaskState.WAITING
         assert task.attempts == 1
-        assert master.tasks_requeued == 1
+        assert master.counts.tasks_requeued == 1
         # A new worker picks the task up again.
         add_worker(engine, master, "w2")
         engine.run(until=200.0)
